@@ -1,10 +1,18 @@
 """Command line interface.
 
 Every invocation writes a single JSON report to stdout and human-readable
-notes to stderr.  Matrix arguments accept either a file path (JSON
-``{"n": int, "data": [[...]]}`` or bare ``[[...]]``, CSV rows without a
-header) or an inline JSON array.  Exit codes: 0 success, 2 parse/format
-error, 3 domain/precondition error, 4 non-convergence.
+notes to stderr; usage errors and unreadable manifests get a report too.
+Matrix arguments accept either a file path (JSON ``{"n": int, "data":
+[[...]]}`` or bare ``[[...]]``, CSV rows without a header) or an inline JSON
+array.  Exit codes: 0 success, 2 parse/format error, 3 domain/precondition
+error, 4 non-convergence.
+
+The commands are the rows of ``COMMANDS``, which build the argument parser,
+check ``spd batch`` entries and drive the one runner.  Batch keys mirror the
+CLI argument names, except that ``gl`` names its subspace ``g_subspace``.
+An entry with a missing key, a non-string matrix or subspace argument or an
+option value that does not convert gets its own exit-2 report; the other
+entries still run.
 """
 
 import argparse
@@ -12,11 +20,13 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .decompose import geodesic_project, mostow_gl, mostow_spd
-from .errors import ConvergenceError, DomainError, ParseError
+from .errors import ConvergenceError, DomainError, ParseError, SpdGeomError
 from .manifold import GeodesicSegment, distance, geodesic, sectional_curvature_id
 from .matfun import frobenius, spd_exp, spd_log
 from .subspace import (
@@ -219,155 +229,53 @@ def _lts_payload(report):
 
 
 # ---------------------------------------------------------------------------
-# Command runners: params dict -> (inputs, outputs, diagnostics)
+# Command table
 
 
-def _load_symmetric(params, key, warnings, fmt):
-    m, origin = read_matrix(params[key], fmt)
-    m = symmetrize_input(m, origin, warnings)
-    return m, {"source": origin, "n": int(m.shape[0]), "sha256": _digest(m)}
+@dataclass(frozen=True)
+class Option:
+    """A typed ``--name`` option; a missing or null value takes the default.
+
+    With ``fallback``, any false value (0, "", null) takes ``fallback()``
+    instead, before conversion: ``--tol 0`` is the default tolerance.
+    """
+
+    type: Callable
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    fallback: Callable | None = None
 
 
-def _opts(params):
-    opts = {
-        "tol": float(params.get("tol") or _default_tol()),
-        "max_iter": int(params.get("max_iter") or 500),
-    }
-    if params.get("unchecked"):
-        opts["unchecked"] = True
-    return opts
+@dataclass(frozen=True)
+class Command:
+    """One ``spd`` command, run as ``call(*matrices, [subspace,] **options)``.
+
+    ``format`` only reads the matrices.  A subspace command returns a result
+    with the ``outputs`` matrices, ``iterations`` and ``residual``; the
+    others return the outputs.  ``lts`` has no matrices: it gets the spec and
+    an option reader and returns ``(inputs, outputs, diagnostics)``.
+    """
+
+    help: str
+    matrices: tuple
+    options: dict
+    call: Callable
+    subspace: str | None = None
+    symmetrize: bool = True
+    outputs: tuple = ()
+    reconstruct: Callable | None = None
 
 
-def run_dist(params):
-    warnings = []
-    fmt = params.get("format")
-    a, ia = _load_symmetric(params, "a", warnings, fmt)
-    b, ib = _load_symmetric(params, "b", warnings, fmt)
-    value = distance(a, b)
-    return {"a": ia, "b": ib}, {"distance": value}, {"warnings": warnings}
-
-
-def run_geodesic(params):
-    warnings = []
-    fmt = params.get("format")
-    a, ia = _load_symmetric(params, "a", warnings, fmt)
-    b, ib = _load_symmetric(params, "b", warnings, fmt)
-    t = float(params.get("t", 0.5))
-    point = geodesic(GeodesicSegment(a, b), t)
-    return (
-        {"a": ia, "b": ib},
-        {"t": t, "point": _matrix_out(point)},
-        {"warnings": warnings},
-    )
-
-
-def run_logm(params):
-    warnings = []
-    x, ix = _load_symmetric(params, "x", warnings, params.get("format"))
-    return {"x": ix}, {"log": _matrix_out(spd_log(x))}, {"warnings": warnings}
-
-
-def run_expm(params):
-    warnings = []
-    a, ia = _load_symmetric(params, "x", warnings, params.get("format"))
-    return {"x": ia}, {"exp": _matrix_out(spd_exp(a))}, {"warnings": warnings}
-
-
-def _with_partial(fn, outputs, *args, **kwargs):
-    """Run fn, attaching already-built outputs to any raised error so the
-    report can still carry them (e.g. the bracket-check witness)."""
-    try:
-        return fn(*args, **kwargs)
-    except (ParseError, DomainError, ConvergenceError) as exc:
-        exc.partial_outputs = outputs
-        raise
-
-
-def run_project(params):
-    warnings = []
-    x, ix = _load_symmetric(params, "x", warnings, params.get("format"))
-    sub, path = parse_subspace_spec(params["subspace"], x.shape[0])
-    outputs = {}
-    if path is not None:
-        report = lts_check(sub)
-        outputs["lts"] = _lts_payload(report)
-    result = _with_partial(geodesic_project, outputs, x, sub, **_opts(params))
-    outputs["pi"] = _matrix_out(result.pi)
-    diagnostics = {
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "warnings": warnings,
-    }
-    return {"x": ix, "subspace": params["subspace"]}, outputs, diagnostics
-
-
-def run_mostow(params):
-    warnings = []
-    x, ix = _load_symmetric(params, "x", warnings, params.get("format"))
-    sub, path = parse_subspace_spec(params["subspace"], x.shape[0])
-    outputs = {}
-    if path is not None:
-        outputs["lts"] = _lts_payload(lts_check(sub))
-    factors = _with_partial(mostow_spd, outputs, x, sub, **_opts(params))
-    recon = frobenius(factors.e @ factors.f @ factors.e - x) / max(1.0, frobenius(x))
-    outputs.update(
-        {
-            "e": _matrix_out(factors.e),
-            "f": _matrix_out(factors.f),
-            "pi": _matrix_out(factors.pi),
-            "reconstruction_residual": recon,
-        }
-    )
-    diagnostics = {
-        "iterations": factors.iterations,
-        "residual": factors.residual,
-        "warnings": warnings,
-    }
-    return {"x": ix, "subspace": params["subspace"]}, outputs, diagnostics
-
-
-def run_gl(params):
-    warnings = []
-    fmt = params.get("format")
-    g, ig = read_matrix(params["g"], fmt)
-    sub, path = parse_subspace_spec(params["g_subspace"], g.shape[0])
-    outputs = {}
-    if path is not None:
-        outputs["lts"] = _lts_payload(lts_check(sub))
-    factors = _with_partial(mostow_gl, outputs, g, sub, **_opts(params))
-    recon = frobenius(factors.k @ factors.f @ factors.e - g) / max(1.0, frobenius(g))
-    outputs.update(
-        {
-            "k": _matrix_out(factors.k),
-            "f": _matrix_out(factors.f),
-            "e": _matrix_out(factors.e),
-            "reconstruction_residual": recon,
-        }
-    )
-    diagnostics = {
-        "iterations": factors.iterations,
-        "residual": factors.residual,
-        "warnings": warnings,
-    }
-    return (
-        {"g": {"source": ig, "n": int(g.shape[0]), "sha256": _digest(g)},
-         "subspace": params["g_subspace"]},
-        outputs,
-        diagnostics,
-    )
-
-
-def run_lts(params):
-    spec = params["subspace"]
+def _lts(spec, opt):
     if spec.startswith("file:"):
         sub = load_subspace(spec[len("file:") :])
     else:
-        n = params.get("n")
+        n = opt("n")
         if n is None:
             raise ParseError("--n is required for built-in subspace specs")
-        sub, _ = parse_subspace_spec(spec, int(n))
-    tol = float(params.get("tol") or 1e-9)
-    report = lts_check(sub, tol=tol)
+        sub, _ = parse_subspace_spec(spec, n)
+    report = lts_check(sub, tol=opt("tol"))
     return (
         {"subspace": spec, "dim": sub.dim, "n": sub.n},
         _lts_payload(report),
@@ -375,44 +283,156 @@ def run_lts(params):
     )
 
 
-def run_curvature(params):
-    warnings = []
-    fmt = params.get("format")
-    x, ix = _load_symmetric(params, "x", warnings, fmt)
-    y, iy = _load_symmetric(params, "y", warnings, fmt)
-    value = sectional_curvature_id(x, y)
-    return (
-        {"x": ix, "y": iy},
-        {"sectional_curvature": value},
-        {"warnings": warnings},
+_FORMAT = {
+    "format": Option(
+        str, None, "input file format (default: by extension)", ("json", "csv")
     )
+}
+_SOLVER = {
+    **_FORMAT,
+    "tol": Option(float, None, "convergence tolerance (or env SPD_TOL)",
+                  fallback=_default_tol),
+    "max_iter": Option(int, fallback=lambda: 500),
+    "unchecked": Option(bool, False, "skip the bracket-closure check of the subspace"),
+}
 
-
-_RUNNERS = {
-    "dist": run_dist,
-    "geodesic": run_geodesic,
-    "logm": run_logm,
-    "expm": run_expm,
-    "project": run_project,
-    "mostow": run_mostow,
-    "gl": run_gl,
-    "lts": run_lts,
-    "curvature": run_curvature,
+# The library functions are called through their names in this module, so
+# that a wrapper which rebinds those names also sees the calls.
+COMMANDS = {
+    "dist": Command(
+        "geodesic distance between two matrices", ("a", "b"), _FORMAT,
+        lambda a, b: {"distance": distance(a, b)},
+    ),
+    "geodesic": Command(
+        "point on the geodesic between two matrices", ("a", "b"),
+        {"t": Option(float, 0.5), **_FORMAT},
+        lambda a, b, t: {
+            "t": t, "point": _matrix_out(geodesic(GeodesicSegment(a, b), t))
+        },
+    ),
+    "logm": Command(
+        "matrix logarithm", ("x",), _FORMAT, lambda x: {"log": _matrix_out(spd_log(x))}
+    ),
+    "expm": Command(
+        "matrix exponential of a symmetric matrix", ("x",), _FORMAT,
+        lambda x: {"exp": _matrix_out(spd_exp(x))},
+    ),
+    "project": Command(
+        "geodesic projection onto exp(E)", ("x",), _SOLVER,
+        lambda x, sub, **opts: geodesic_project(x, sub, **opts), "subspace",
+        outputs=("pi",),
+    ),
+    "mostow": Command(
+        "two-sided factorization x = e f e", ("x",), _SOLVER,
+        lambda x, sub, **opts: mostow_spd(x, sub, **opts), "subspace",
+        outputs=("e", "f", "pi"), reconstruct=lambda r: r.e @ r.f @ r.e,
+    ),
+    # gl keeps its own subspace key: it is echoed in report params and
+    # used by batch manifests.
+    "gl": Command(
+        "factorization g = k f e with k orthogonal", ("g",), _SOLVER,
+        lambda g, sub, **opts: mostow_gl(g, sub, **opts), "g_subspace",
+        symmetrize=False, outputs=("k", "f", "e"),
+        reconstruct=lambda r: r.k @ r.f @ r.e,
+    ),
+    "lts": Command(
+        "bracket-closure check of a subspace", (),
+        {
+            "n": Option(int, None, "ambient dimension for built-in specs"),
+            "tol": Option(float, fallback=lambda: 1e-9),
+        },
+        _lts, "subspace",
+    ),
+    "curvature": Command(
+        "sectional curvature at the identity", ("x", "y"), _FORMAT,
+        lambda x, y: {"sectional_curvature": sectional_curvature_id(x, y)},
+    ),
 }
 
 
-def _classify(exc):
-    if isinstance(exc, ParseError):
-        return EXIT_PARSE
-    if isinstance(exc, ConvergenceError):
-        return EXIT_NO_CONVERGENCE
-    if isinstance(exc, DomainError):
-        return EXIT_DOMAIN
-    raise exc
+def _text(params, key):
+    """A matrix or subspace argument: a path, inline JSON or a spec."""
+    value = params.get(key)
+    if not isinstance(value, str):
+        problem = "is missing" if value is None else f"must be a string, got {value!r}"
+        raise ParseError(f"argument {key!r} {problem}")
+    return value
 
 
-def run_report(command, params):
-    """Execute one command and wrap the outcome in a report dict."""
+def _option(params, key, opt):
+    value = params.get(key)
+    if opt.fallback is not None and not value:
+        return opt.fallback()
+    if value is None:
+        return opt.default
+    try:
+        return opt.type(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad value for option {key!r}: {exc}") from exc
+
+
+def _run(cmd, params):
+    """Run one table command: params -> (inputs, outputs, diagnostics).
+
+    Options are converted after the inputs are read: input errors come first.
+    """
+
+    def opt(key):
+        return _option(params, key, cmd.options[key])
+
+    if not cmd.matrices:
+        return cmd.call(_text(params, cmd.subspace), opt)
+    warnings, args, inputs, outputs = [], [], {}, {}
+    for key in cmd.matrices:
+        m, origin = read_matrix(_text(params, key), opt("format"))
+        if cmd.symmetrize:
+            m = symmetrize_input(m, origin, warnings)
+        args.append(m)
+        inputs[key] = {"source": origin, "n": int(m.shape[0]), "sha256": _digest(m)}
+    if len({m.shape for m in args}) > 1:
+        raise DomainError(f"matrix dimensions differ: {[m.shape[0] for m in args]}")
+    x = args[0]
+    if cmd.subspace is not None:
+        spec = _text(params, cmd.subspace)
+        sub, path = parse_subspace_spec(spec, x.shape[0])
+        args.append(sub)
+        inputs["subspace"] = spec
+        if path is not None:
+            outputs["lts"] = _lts_payload(lts_check(sub))
+    kwargs = {key: opt(key) for key in cmd.options if key != "format"}
+    try:
+        result = cmd.call(*args, **kwargs)
+    except SpdGeomError as exc:
+        # The report of a failed run still carries what was built, such as
+        # the bracket-check witness.
+        exc.partial_outputs = outputs
+        raise
+    diagnostics = {"warnings": warnings}
+    if cmd.subspace is None:
+        return inputs, result, diagnostics
+    for key in cmd.outputs:
+        outputs[key] = _matrix_out(getattr(result, key))
+    if cmd.reconstruct is not None:
+        recon = frobenius(cmd.reconstruct(result) - x) / max(1.0, frobenius(x))
+        outputs["reconstruction_residual"] = recon
+    diagnostics.update(iterations=result.iterations, residual=result.residual)
+    return inputs, outputs, diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Reports
+
+
+# Error class -> exit code and report error type; the first match wins.
+_ERRORS = (
+    (ParseError, EXIT_PARSE, "parse"),
+    (ConvergenceError, EXIT_NO_CONVERGENCE, "non-convergence"),
+    (DomainError, EXIT_DOMAIN, "domain"),
+)
+
+
+def _report(command, params, exc=None):
+    """The report skeleton; with ``exc``, the report of a failed run."""
     report = {
         "command": command,
         "params": {k: v for k, v in params.items() if v is not None},
@@ -421,30 +441,27 @@ def run_report(command, params):
         "diagnostics": {"iterations": None, "residual": None, "warnings": []},
         "exit_code": EXIT_OK,
     }
-    try:
-        runner = _RUNNERS[command]
-    except KeyError:
-        report["exit_code"] = EXIT_PARSE
-        report["error"] = {"type": "parse", "message": f"unknown command {command!r}"}
-        return report
-    try:
-        inputs, outputs, diagnostics = runner(params)
-    except (ParseError, DomainError, ConvergenceError) as exc:
-        code = _classify(exc)
+    if exc is not None:
+        code, kind = next((c, k) for cls, c, k in _ERRORS if isinstance(exc, cls))
         report["exit_code"] = code
-        report["error"] = {
-            "type": {2: "parse", 3: "domain", 4: "non-convergence"}[code],
-            "message": str(exc),
-        }
+        report["error"] = {"type": kind, "message": str(exc)}
         residual = getattr(exc, "residual", None)
         if residual is not None:
             report["diagnostics"]["residual"] = float(residual)
-        partial = getattr(exc, "partial_outputs", None)
-        if partial:
-            report["outputs"] = partial
-        return report
-    report["inputs"] = inputs
-    report["outputs"] = outputs
+        report["outputs"] = getattr(exc, "partial_outputs", None) or {}
+    return report
+
+
+def run_report(command, params):
+    """Execute one command and wrap the outcome in a report dict."""
+    try:
+        if not isinstance(command, str) or command not in COMMANDS:
+            raise ParseError(f"unknown command {command!r}")
+        inputs, outputs, diagnostics = _run(COMMANDS[command], params)
+    except SpdGeomError as exc:
+        return _report(command, params, exc)
+    report = _report(command, params)
+    report.update(inputs=inputs, outputs=outputs)
     report["diagnostics"].update(diagnostics)
     return report
 
@@ -456,31 +473,18 @@ def run_batch(manifest_path):
             entries = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or UTF-8
         raise ParseError(f"invalid JSON in manifest {manifest_path}: {exc}") from exc
     if not isinstance(entries, list):
         raise ParseError("batch manifest must be a JSON array of command objects")
     reports = []
     for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "command" not in entry:
-            reports.append(
-                {
-                    "command": None,
-                    "params": {},
-                    "inputs": {},
-                    "outputs": {},
-                    "diagnostics": {"iterations": None, "residual": None,
-                                    "warnings": []},
-                    "exit_code": EXIT_PARSE,
-                    "error": {
-                        "type": "parse",
-                        "message": f"entry {idx} is not a command object",
-                    },
-                }
-            )
-            continue
-        params = {k: v for k, v in entry.items() if k != "command"}
-        reports.append(run_report(entry["command"], params))
+        if isinstance(entry, dict) and "command" in entry:
+            params = {k: v for k, v in entry.items() if k != "command"}
+            reports.append(run_report(entry["command"], params))
+        else:
+            error = ParseError(f"entry {idx} is not a command object")
+            reports.append(_report(None, {}, error))
     return reports
 
 
@@ -488,8 +492,15 @@ def run_batch(manifest_path):
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns usage errors into ParseError, so they also end in a report."""
+
+    def error(self, message):
+        raise ParseError(f"{message} (see {self.prog} --help)")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spd",
         description=(
             "Geometry of symmetric positive-definite matrices: distances, "
@@ -498,96 +509,46 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, project_opts=False):
-        p.add_argument("--format", choices=["json", "csv"], default=None,
-                       help="input file format (default: by extension)")
-        if project_opts:
-            p.add_argument("--tol", type=float, default=None,
-                           help="convergence tolerance (or env SPD_TOL)")
-            p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-            p.add_argument("--unchecked", action="store_true",
-                           help="skip the bracket-closure check of the subspace")
-
-    p = sub.add_parser("dist", help="geodesic distance between two matrices")
-    p.add_argument("a")
-    p.add_argument("b")
-    add_common(p)
-
-    p = sub.add_parser("geodesic", help="point on the geodesic between two matrices")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--t", type=float, default=0.5)
-    add_common(p)
-
-    p = sub.add_parser("logm", help="matrix logarithm")
-    p.add_argument("x")
-    add_common(p)
-
-    p = sub.add_parser("expm", help="matrix exponential of a symmetric matrix")
-    p.add_argument("x")
-    add_common(p)
-
-    p = sub.add_parser("project", help="geodesic projection onto exp(E)")
-    p.add_argument("x")
-    p.add_argument("subspace")
-    add_common(p, project_opts=True)
-
-    p = sub.add_parser("mostow", help="two-sided factorization x = e f e")
-    p.add_argument("x")
-    p.add_argument("subspace")
-    add_common(p, project_opts=True)
-
-    p = sub.add_parser("gl", help="factorization g = k f e with k orthogonal")
-    p.add_argument("g")
-    p.add_argument("g_subspace", metavar="subspace")
-    add_common(p, project_opts=True)
-
-    p = sub.add_parser("lts", help="bracket-closure check of a subspace")
-    p.add_argument("subspace")
-    p.add_argument("--n", type=int, default=None,
-                   help="ambient dimension for built-in specs")
-    p.add_argument("--tol", type=float, default=None)
-
-    p = sub.add_parser("curvature", help="sectional curvature at the identity")
-    p.add_argument("x")
-    p.add_argument("y")
-    add_common(p)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for key in cmd.matrices:
+            p.add_argument(key)
+        if cmd.subspace is not None:
+            p.add_argument(cmd.subspace, metavar="subspace")
+        for key, opt in cmd.options.items():
+            flag = "--" + key.replace("_", "-")
+            if opt.type is bool:
+                p.add_argument(flag, dest=key, action="store_true", help=opt.help)
+            else:
+                p.add_argument(flag, dest=key, type=opt.type, default=opt.default,
+                               choices=opt.choices, help=opt.help)
     p = sub.add_parser("batch", help="run a JSON manifest of commands")
     p.add_argument("manifest")
-
     return parser
 
 
 def main(argv=None):
     """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-
+    command, params = None, {}
     try:
+        params = vars(build_parser().parse_args(argv))
+        command = params.pop("command")
         if command == "batch":
-            reports = run_batch(args.manifest)
-            print(json.dumps(reports, indent=2))
-            for rep in reports:
-                if rep["exit_code"] != EXIT_OK:
-                    print(
-                        f"spd: batch entry failed: {rep.get('error', {}).get('message', '?')}",
-                        file=sys.stderr,
-                    )
-            codes = [rep["exit_code"] for rep in reports]
-            return next((c for c in codes if c != EXIT_OK), EXIT_OK)
-        params = {k: v for k, v in vars(args).items() if k != "command"}
-        report = run_report(command, params)
-    except ParseError as exc:
-        print(f"spd: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+            result = run_batch(params["manifest"])
+        else:
+            result = run_report(command, params)
+    except ParseError as exc:  # a usage error or an unreadable manifest
+        result = _report(command, params, exc)
 
-    print(json.dumps(report, indent=2))
-    if report["exit_code"] != EXIT_OK:
-        print(f"spd: {report['error']['message']}", file=sys.stderr)
-    return report["exit_code"]
+    print(json.dumps(result, indent=2))
+    batch = isinstance(result, list)
+    reports = result if batch else [result]
+    for rep in reports:
+        if rep["exit_code"] != EXIT_OK:
+            note = "batch entry failed: " if batch else ""
+            print(f"spd: {note}{rep['error']['message']}", file=sys.stderr)
+    codes = [rep["exit_code"] for rep in reports]
+    return next((code for code in codes if code != EXIT_OK), EXIT_OK)
 
 
 def console_entry():

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from spdgeom import cli
 from spdgeom.cli import main, read_matrix
 
 X22 = [[2.0, 1.0], [1.0, 2.0]]
@@ -213,6 +214,12 @@ class TestExitCodes:
         code, rep = run_cli(capsys, "project", json.dumps(X22), "block:1,2")
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["dist", "geodesic", "curvature"])
+    def test_matrix_dimensions_differ(self, capsys, command):
+        code, rep = run_cli(capsys, command, json.dumps(X22), "[[1]]")
+        assert code == 3
+        assert rep["error"]["type"] == "domain"
+
 
 class TestWarningsAndEnv:
     def test_small_asymmetry_symmetrized_with_warning(self, capsys):
@@ -296,6 +303,87 @@ class TestBatch:
         path.write_text('{"not": "a list"}')
         code = main(["batch", str(path)])
         assert code == 2
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["command"] == "batch"
+        assert rep["exit_code"] == 2
+        assert rep["error"]["type"] == "parse"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"command": "dist", "a": "[[1]]"},
+            {"command": "geodesic", "a": "[[1]]", "b": "[[2]]", "t": "abc"},
+            {"command": "project", "x": json.dumps(X22), "subspace": "diag", "max_iter": "x"},
+            {"command": "lts", "subspace": "diag", "n": "x"},
+            {"command": "logm", "x": 5},
+        ],
+    )
+    def test_bad_entry_gets_its_own_parse_report(self, capsys, tmp_path, entry):
+        good = {"command": "dist", "a": "[[1,0],[0,1]]", "b": json.dumps(X22)}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([good, entry, good]))
+        code = main(["batch", str(path)])
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["exit_code"] for r in reports] == [0, 2, 0]
+        assert reports[1]["command"] == entry["command"]
+        assert reports[1]["error"]["type"] == "parse"
+        assert reports[2]["outputs"]["distance"] == pytest.approx(math.log(3.0), abs=1e-9)
+        assert code == 2
+
+    def test_option_values_convert_as_the_seed_runners_did(self, capsys, tmp_path):
+        # A false value (0, "", null) for tol or max_iter means the default;
+        # the string "0" is a zero, which the solver rejects.  Input errors
+        # are reported before option errors, and lts ignores n for file specs.
+        sub = tmp_path / "sub.json"
+        sub.write_text(json.dumps({"n": 2, "generators": [[[1.0, 0.0], [0.0, 0.0]]]}))
+        x = json.dumps(X22)
+        manifest = [
+            {"command": "project", "x": x, "subspace": "diag", "tol": 0, "max_iter": ""},
+            {"command": "project", "x": x, "subspace": "diag", "tol": "0"},
+            {"command": "project", "x": x, "subspace": "diag", "max_iter": "0"},
+            {"command": "project", "x": x, "subspace": "block:1,2", "max_iter": "x"},
+            {"command": "lts", "subspace": "block:1,1", "n": 3, "tol": "x"},
+            {"command": "lts", "subspace": f"file:{sub}", "n": "x"},
+        ]
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(manifest))
+        main(["batch", str(path)])
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["exit_code"] for r in reports] == [0, 3, 3, 3, 3, 0]
+
+
+class TestSolverLookup:
+    def test_solvers_are_called_through_module_names(self, capsys, monkeypatch):
+        # Tracers rebind the module-level names; the command table must not
+        # hold on to the functions it was built with.
+        calls = []
+        for name in ("geodesic_project", "mostow_spd", "mostow_gl"):
+            original = getattr(cli, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        for command in ("project", "mostow", "gl"):
+            code, _ = run_cli(capsys, command, json.dumps(X22), "diag")
+            assert code == 0
+        assert calls == ["geodesic_project", "mostow_spd", "mostow_gl"]
+
+
+class TestUsageErrors:
+    def test_usage_error_writes_a_parse_report(self, capsys):
+        code, rep = run_cli(capsys, "dist", "[[1]]")
+        assert code == 2
+        assert rep["exit_code"] == 2
+        assert rep["error"]["type"] == "parse"
+        assert "required" in rep["error"]["message"]
+
+    def test_help_still_prints_help(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["project", "--help"])
+        assert info.value.code == 0
+        assert "--max-iter" in capsys.readouterr().out
 
 
 class TestSubprocessEntry:

@@ -1,0 +1,108 @@
+"""Property test of the report contract of ``spd batch``.
+
+Manifests are drawn from the command table: random subsets of each
+command's keys, each holding a string (a valid or broken matrix, a subspace
+spec, a number or junk), an int, a float, a list or null.  Whatever the
+entries, the process writes exactly one JSON document (strict JSON: no NaN
+or Infinity), one report per entry, every exit code is in {0, 2, 3, 4}, and
+the process exits with the first non-zero entry code.
+
+Matrices and lts dimensions stay at n <= 4.  The known failure at larger
+n, `spd lts diag --n 64` running out of memory in the bracket check, belongs
+to ROADMAP item 4 and is tracked by the cli_cold benchmark's known-defect
+probe.
+"""
+
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spdgeom.cli import COMMANDS, main
+
+CONTRACT_CODES = {0, 2, 3, 4}
+
+MATRICES = [
+    "[[2,1],[1,2]]",
+    "[[1,2],[2,1]]",
+    "[[1,2],[3,4]]",
+    "[[1]]",
+    "[[0]]",
+    "[[2,0,0],[0,3,1],[0,1,2]]",
+    "[[4,1,0,0],[1,3,0,0],[0,0,2,1],[0,0,1,2]]",
+    "[[1,0],[0",
+    "[[1,1e400],[1e400,1]]",
+    "/nonexistent/m.json",
+]
+SPECS = [
+    "diag",
+    "block:1,1",
+    "block:2,2",
+    "block:1,x",
+    "antiblock:1,2",
+    "antiblock:2,2",
+    "antiblock:0,2",
+    "file:/nonexistent/sub.json",
+    "spiral",
+]
+# Values that convert to each option type.  A numeric 0 means the default
+# for tol and max_iter; the string "0" and a negative tolerance are domain
+# errors.  Ints stay small: lts builds its subspace at n = the drawn value.
+OPTIONS = {
+    float: ["0.5", "1e-8", "0", 1e-6, 3, 0, -1.0],
+    int: ["2", "0", 1, 3, 0],
+    bool: [True, False, 1],
+    str: ["json", "csv"],
+}
+JUNK = st.one_of(
+    st.sampled_from(["abc", ""]),
+    st.integers(-2, 4),
+    st.floats(-2.0, 4.0),
+    st.lists(st.integers(-2, 4), max_size=3),
+    st.none(),
+)
+
+
+def _values(cmd, key):
+    """Values of every type, but mostly ones that fit the key, so that whole
+    runs also succeed and fail in the library."""
+    if key in cmd.matrices:
+        fitting = st.sampled_from(MATRICES)
+    elif key == cmd.subspace:
+        fitting = st.sampled_from(SPECS)
+    else:
+        fitting = st.sampled_from(OPTIONS[cmd.options[key].type])
+    return st.sampled_from([fitting, fitting, fitting, JUNK]).flatmap(lambda v: v)
+
+
+@st.composite
+def entries(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    cmd = COMMANDS[name]
+    keys = [*cmd.matrices, *([cmd.subspace] if cmd.subspace else []), *cmd.options]
+    # Each key is left out about one time in four.
+    present = [key for key in keys if draw(st.sampled_from([True, True, True, False]))]
+    return {"command": name, **{key: draw(_values(cmd, key)) for key in present}}
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(manifest=st.lists(entries(), min_size=1, max_size=4))
+def test_batch_report_contract(manifest, capsys, tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code = main(["batch", str(path)])
+    reports = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert isinstance(reports, list) and len(reports) == len(manifest)
+    codes = [rep["exit_code"] for rep in reports]
+    assert set(codes) <= CONTRACT_CODES
+    assert [rep["command"] for rep in reports] == [e["command"] for e in manifest]
+    assert code == next((c for c in codes if c != 0), 0)
+
