@@ -10,14 +10,16 @@ error, 4 non-convergence.
 The commands are the rows of ``COMMANDS``, which build the argument parser,
 check ``spd batch`` entries and drive the one runner.  Batch keys mirror the
 CLI argument names, except that ``gl`` names its subspace ``g_subspace``.
-An entry with a missing key, a non-string matrix or subspace argument or an
-option value that does not convert gets its own exit-2 report; the other
-entries still run.
+An entry with a missing key, a non-string matrix or subspace argument, an
+option value that does not convert or a non-finite number (which a strict
+JSON report cannot echo) gets its own exit-2 report; the other entries
+still run.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -94,7 +96,11 @@ def _read_json_matrix(obj, origin):
             raise ParseError(f'{origin}: JSON object needs a "data" field')
         rows = obj["data"]
         m = _parse_rows(rows, origin)
-        if "n" in obj and int(obj["n"]) != m.shape[0]:
+        try:
+            declared = int(obj.get("n", m.shape[0]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{origin}: declared n={obj['n']!r} is not an integer") from exc
+        if declared != m.shape[0]:
             raise ParseError(
                 f"{origin}: declared n={obj['n']} but data is {m.shape[0]} x {m.shape[1]}"
             )
@@ -359,6 +365,18 @@ def _text(params, key):
     return value
 
 
+def _finite(value):
+    """False when a float in ``value``, or in its lists and dicts, is NaN or
+    infinite: strict JSON has no such numbers."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    return True
+
+
 def _option(params, key, opt):
     value = params.get(key)
     if opt.fallback is not None and not value:
@@ -366,9 +384,12 @@ def _option(params, key, opt):
     if value is None:
         return opt.default
     try:
-        return opt.type(value)
+        converted = opt.type(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad value for option {key!r}: {exc}") from exc
+    if not _finite(converted):
+        raise ParseError(f"option {key!r} is not a finite number: {value!r}")
+    return converted
 
 
 def _run(cmd, params):
@@ -434,8 +455,8 @@ _ERRORS = (
 def _report(command, params, exc=None):
     """The report skeleton; with ``exc``, the report of a failed run."""
     report = {
-        "command": command,
-        "params": {k: v for k, v in params.items() if v is not None},
+        "command": command if _finite(command) else None,
+        "params": {k: v for k, v in params.items() if v is not None and _finite(v)},
         "inputs": {},
         "outputs": {},
         "diagnostics": {"iterations": None, "residual": None, "warnings": []},
@@ -457,6 +478,9 @@ def run_report(command, params):
     try:
         if not isinstance(command, str) or command not in COMMANDS:
             raise ParseError(f"unknown command {command!r}")
+        bad = [key for key, value in params.items() if not _finite(value)]
+        if bad:
+            raise ParseError(f"non-finite number in {', '.join(map(repr, bad))}")
         inputs, outputs, diagnostics = _run(COMMANDS[command], params)
     except SpdGeomError as exc:
         return _report(command, params, exc)

@@ -9,7 +9,10 @@ geodesic submanifold:
     [X, [X, Y]] in E  for all X, Y in E           (double-bracket form)
 
 The two are equivalent by polarization; ``lts_check`` evaluates both and
-reports them side by side.
+reports them side by side.  It never forms all k^3 basis triples at once:
+for a k-dimensional subspace of n x n matrices it needs O(k^2 n^2) memory
+and O(k^3 n^2 (n + k)) time, and brackets of basis pairs that vanish
+exactly (all of them for the diagonal subspace) cost next to nothing.
 """
 
 import json
@@ -46,6 +49,8 @@ class Subspace:
                 f"basis must have shape (k, {self.n}, {self.n}), "
                 f"got {self.basis.shape}"
             )
+        if not np.all(np.isfinite(self.basis)):
+            raise DomainError("basis has non-finite entries")
 
 
 def build_subspace(generators, drop_tol=_DROP_TOL):
@@ -154,6 +159,36 @@ class LtsReport:
     tol: float
 
 
+def _nonzero_brackets(b):
+    """Index pairs (j, k), j < k, in lexicographic order, whose bracket
+    [B_j, B_k] is not exactly zero, and those brackets."""
+    k, n = b.shape[:2]
+    # B_j B_k is exactly zero unless some index is a nonzero row of both.
+    rows = b.any(axis=2).astype(float)
+    shared = rows @ rows.T > 0
+    pairs, brackets = [], [np.zeros((0, n, n))]
+    for j in range(k - 1):
+        others = j + 1 + np.flatnonzero(shared[j, j + 1 :])
+        # B_k B_j for those k in one product; [B_j, B_k] = (B_k B_j)^T - B_k B_j.
+        q = (b[others].reshape(-1, n) @ b[j]).reshape(-1, n, n)
+        c = q.transpose(0, 2, 1) - q
+        nz = np.flatnonzero(c.reshape(len(c), n * n).any(axis=1))
+        pairs.extend((j, o) for o in others[nz])
+        brackets.append(c[nz])
+    return np.array(pairs, dtype=int).reshape(-1, 2), np.concatenate(brackets)
+
+
+def _off_sym(p, flat):
+    """Parts of P + P^T orthogonal to the rows of ``flat``, for each P in the
+    stack ``p``; shape (len(p), n*n).
+
+    With X symmetric and S skew, (XS)^T = -SX, so [X, S] = XS + (XS)^T and
+    [S, X] = SX + (SX)^T: each bracket takes one product.
+    """
+    t = (p + p.transpose(0, 2, 1)).reshape(len(p), -1)
+    return t - (t @ flat.T) @ flat
+
+
 def lts_check(e, tol=1e-9):
     """Check whether nested brackets of basis elements stay in the subspace.
 
@@ -161,7 +196,15 @@ def lts_check(e, tol=1e-9):
     bilinearity settles it for the whole subspace) and, independently, the
     double-bracket form together with its polarized combinations.  The
     verdict ``is_lts`` comes from the triple condition; the double-bracket
-    verdict is reported alongside and must agree.
+    verdict is reported alongside and must agree.  The witness is the first
+    basis triple, in index order, with the largest relative residual.
+
+    The brackets [B_j, B_k] are formed once, except where B_j and B_k share
+    no nonzero row.  Exactly zero brackets give exactly zero triples and are
+    skipped; for the diagonal subspace that is all of them.  The triples of
+    the rest are taken one outer element B_i at a time, so a k-dimensional
+    subspace of n x n matrices costs O(k^2 n^2) memory and O(k^3 n^2 (n + k))
+    time, the k^4 n^2 part being the projections.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -169,58 +212,67 @@ def lts_check(e, tol=1e-9):
     if cached is not None:
         return cached
 
-    k = e.dim
-    if k == 0:
-        report = LtsReport(True, 0.0, None, True, 0.0, tol)
-        e._lts_cache[tol] = report
-        return report
-
     b = e.basis
+    k, n = e.dim, e.n
+    flat = b.reshape(k, n * n)
     norms = np.sqrt(np.einsum("kab,kab->k", b, b))
-    # inner[j, k] = [B_j, B_k]
-    inner = np.einsum("jab,kbc->jkac", b, b) - np.einsum("kab,jbc->jkac", b, b)
-    # triple[i, j, k] = [B_i, [B_j, B_k]]
-    triple = np.einsum("iab,jkbc->ijkac", b, inner) - np.einsum(
-        "jkab,ibc->ijkac", inner, b
-    )
-    coeffs = np.einsum("ijkab,mab->ijkm", triple, b)
-    off = triple - np.einsum("ijkm,mab->ijkab", coeffs, b)
-    res = np.sqrt(np.einsum("ijkab,ijkab->ijk", off, off))
-    scale = np.maximum(1.0, norms[:, None, None] * norms[None, :, None] * norms[None, None, :])
-    rel = res / scale
+    pairs, brackets = _nonzero_brackets(b)
+    first, second = pairs[:, 0], pairs[:, 1]
 
-    max_residual = float(rel.max())
+    max_residual, witness_at, double_max = 0.0, None, 0.0
+    for i in range(k if len(pairs) else 0):
+        # off[i, j, k] for the pairs; off[i, k, j] = -off[i, j, k].
+        off = -_off_sym((brackets.reshape(-1, n) @ b[i]).reshape(-1, n, n), flat)
+        rel = np.linalg.norm(off, axis=1) / np.maximum(
+            1.0, norms[i] * norms[first] * norms[second]
+        )
+        t = int(np.argmax(rel))
+        if rel[t] > max_residual:
+            max_residual, witness_at = float(rel[t]), (i, t, off[t].copy())
+        if i == 0:
+            continue
+        # Polarized sums off[h, i, q] + off[i, h, q] for h < i, indexed by
+        # h * k + q, over the (h, q) where either term can be nonzero.  As
+        # [B_i, B_i] = 0, the sums at q = h or q = i are the double brackets
+        # [B_i, [B_i, B_h]] and [B_h, [B_h, B_i]] up to sign.
+        below_f, below_s = first < i, second < i
+        keys_a = np.concatenate(
+            [first[below_f] * k + second[below_f], second[below_s] * k + first[below_s]]
+        )
+        terms_a = np.concatenate([off[below_f], -off[below_s]])
+        q = np.concatenate([second[first == i], first[second == i]])
+        signed = np.concatenate([brackets[first == i], -brackets[second == i]])
+        lower = b[:i].reshape(-1, n)
+        terms_d = [_off_sym((lower @ c).reshape(i, n, n), flat) for c in signed]
+        keys_d = (q[:, None] + np.arange(i)[None, :] * k).ravel()
+        keys, where = np.unique(np.concatenate([keys_a, keys_d]), return_inverse=True)
+        polar = np.zeros((len(keys), n * n))
+        polar[where[: len(keys_a)]] += terms_a
+        if terms_d:
+            polar[where[len(keys_a) :]] += np.concatenate(terms_d)
+        h, qq = np.divmod(keys, k)
+        polar_rel = np.linalg.norm(polar, axis=1) / np.maximum(
+            1.0, norms[h] * norms[i] * norms[qq]
+        )
+        if len(polar_rel):
+            double_max = max(double_max, float(polar_rel.max()))
+
     is_lts = max_residual <= tol
     witness = None
     if not is_lts:
-        i, j, kk = np.unravel_index(int(np.argmax(rel)), rel.shape)
+        i, t, off_t = witness_at
         witness = LtsWitness(
             x=b[i].copy(),
-            y=b[j].copy(),
-            z=b[kk].copy(),
-            residual=float(rel[i, j, kk]),
-            off_component=off[i, j, kk].copy(),
+            y=b[first[t]].copy(),
+            z=b[second[t]].copy(),
+            residual=max_residual,
+            off_component=off_t.reshape(n, n),
         )
-
-    # Double-bracket form:  [B_i, [B_i, B_k]]  plus the polarized sums
-    # [B_i, [B_j, B_k]] + [B_j, [B_i, B_k]]  for i < j.
-    double_max = float(rel[np.arange(k), np.arange(k), :].max())
-    if k > 1:
-        polar = off + off.transpose(1, 0, 2, 3, 4)
-        polar_res = np.sqrt(np.einsum("ijkab,ijkab->ijk", polar, polar))
-        polar_scale = np.maximum(
-            1.0,
-            (norms[:, None] * norms[None, :])[:, :, None] * norms[None, None, :],
-        )
-        iu, ju = np.triu_indices(k, 1)
-        double_max = max(double_max, float((polar_res / polar_scale)[iu, ju, :].max()))
-    double_ok = double_max <= tol
-
     report = LtsReport(
         is_lts=is_lts,
         max_residual=max_residual,
         witness=witness,
-        double_bracket_is_lts=double_ok,
+        double_bracket_is_lts=double_max <= tol,
         double_bracket_residual=double_max,
         tol=tol,
     )

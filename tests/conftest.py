@@ -34,3 +34,8 @@ def random_invertible(rng, n, cond=100.0):
     half = math.log(cond) / 2.0
     sig = np.exp(rng.uniform(-half, half, n))
     return (u * sig) @ v
+
+
+def reject_json_constant(token):
+    """``parse_constant`` for strict JSON: NaN and Infinity are errors."""
+    raise ValueError(f"{token} is not JSON")

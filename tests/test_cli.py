@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import reject_json_constant
 from spdgeom import cli
 from spdgeom.cli import main, read_matrix
 
@@ -139,6 +140,12 @@ class TestProjectionCommands:
         assert code == 0
         assert rep["outputs"]["is_lts"] is True
 
+    def test_lts_builtin_n_64(self, capsys):
+        code, rep = run_cli(capsys, "lts", "diag", "--n", "64")
+        assert code == 0
+        assert rep["outputs"]["is_lts"] is True
+        assert rep["outputs"]["max_residual"] == 0.0
+
     def test_lts_from_file_with_witness(self, capsys, tmp_path):
         payload = {
             "n": 2,
@@ -205,6 +212,21 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, rep = run_cli(capsys, "logm", "/nonexistent/m.json")
         assert code == 2
+
+    @pytest.mark.parametrize("declared", ["x", None, 1e400])
+    def test_matrix_file_with_bad_declared_n(self, capsys, tmp_path, declared):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": declared, "data": [[1.0]]}))
+        code, rep = run_cli(capsys, "logm", str(path))
+        assert code == 2
+        assert rep["error"]["type"] == "parse"
+
+    def test_non_finite_option_from_argv(self, capsys):
+        code = main(["geodesic", "[[2]]", "[[3]]", "--t", "1e400"])
+        rep = json.loads(capsys.readouterr().out, parse_constant=reject_json_constant)
+        assert code == 2
+        assert rep["error"]["type"] == "parse"
+        assert "t" not in rep["params"]
 
     def test_bad_subspace_spec(self, capsys):
         code, rep = run_cli(capsys, "project", json.dumps(X22), "spiral")
@@ -328,6 +350,25 @@ class TestBatch:
         assert reports[1]["command"] == entry["command"]
         assert reports[1]["error"]["type"] == "parse"
         assert reports[2]["outputs"]["distance"] == pytest.approx(math.log(3.0), abs=1e-9)
+        assert code == 2
+
+    def test_non_finite_values_get_their_own_parse_report(self, capsys, tmp_path):
+        good = '{"command": "dist", "a": "[[1,0],[0,1]]", "b": "[[2,1],[1,2]]"}'
+        bad = [
+            '{"command": "geodesic", "a": "[[2]]", "b": "[[3]]", "t": 1e400}',
+            '{"command": "geodesic", "a": "[[2]]", "b": "[[3]]", "t": NaN}',
+            '{"command": "dist", "a": "[[2]]", "b": "[[3]]", "note": [1, -Infinity]}',
+            '{"command": "geodesic", "a": "[[2]]", "b": "[[3]]", "t": "inf"}',
+            '{"command": Infinity}',
+        ]
+        path = tmp_path / "batch.json"
+        path.write_text("[" + ", ".join([good, *bad, good]) + "]")
+        code = main(["batch", str(path)])
+        reports = json.loads(capsys.readouterr().out, parse_constant=reject_json_constant)
+        assert [r["exit_code"] for r in reports] == [0, 2, 2, 2, 2, 2, 0]
+        assert [r["command"] for r in reports[1:5]] == ["geodesic", "geodesic", "dist", "geodesic"]
+        assert reports[4]["params"]["t"] == "inf"
+        assert reports[-1]["outputs"]["distance"] == pytest.approx(math.log(3.0), abs=1e-9)
         assert code == 2
 
     def test_option_values_convert_as_the_seed_runners_did(self, capsys, tmp_path):

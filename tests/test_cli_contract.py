@@ -2,22 +2,23 @@
 
 Manifests are drawn from the command table: random subsets of each
 command's keys, each holding a string (a valid or broken matrix, a subspace
-spec, a number or junk), an int, a float, a list or null.  Whatever the
-entries, the process writes exactly one JSON document (strict JSON: no NaN
-or Infinity), one report per entry, every exit code is in {0, 2, 3, 4}, and
-the process exits with the first non-zero entry code.
+spec, a number or junk), an int, a float (NaN and infinities included), a
+list or null.  Whatever the entries, the process writes exactly one JSON
+document (strict JSON: no NaN or Infinity), one report per entry, every exit
+code is in {0, 2, 3, 4}, and the process exits with the first non-zero entry
+code.
 
-Matrices and lts dimensions stay at n <= 4.  The known failure at larger
-n, `spd lts diag --n 64` running out of memory in the bracket check, belongs
-to ROADMAP item 4 and is tracked by the cli_cold benchmark's known-defect
-probe.
+Matrices and lts dimensions stay at n <= 4 to keep the examples fast; the
+large case, `spd lts diag --n 64`, is a test of its own in test_cli.py.
 """
 
 import json
+import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import reject_json_constant
 from spdgeom.cli import COMMANDS, main
 
 CONTRACT_CODES = {0, 2, 3, 4}
@@ -48,17 +49,20 @@ SPECS = [
 # Values that convert to each option type.  A numeric 0 means the default
 # for tol and max_iter; the string "0" and a negative tolerance are domain
 # errors.  Ints stay small: lts builds its subspace at n = the drawn value.
+# Non-finite numbers (a manifest's 1e400 or NaN) are parse errors.
+NON_FINITE = [math.inf, -math.inf, math.nan]
 OPTIONS = {
-    float: ["0.5", "1e-8", "0", 1e-6, 3, 0, -1.0],
-    int: ["2", "0", 1, 3, 0],
-    bool: [True, False, 1],
+    float: ["0.5", "1e-8", "0", 1e-6, 3, 0, -1.0, "inf", *NON_FINITE],
+    int: ["2", "0", 1, 3, 0, *NON_FINITE],
+    bool: [True, False, 1, math.nan],
     str: ["json", "csv"],
 }
 JUNK = st.one_of(
     st.sampled_from(["abc", ""]),
     st.integers(-2, 4),
     st.floats(-2.0, 4.0),
-    st.lists(st.integers(-2, 4), max_size=3),
+    st.sampled_from(NON_FINITE),
+    st.lists(st.one_of(st.integers(-2, 4), st.sampled_from(NON_FINITE)), max_size=3),
     st.none(),
 )
 
@@ -85,10 +89,6 @@ def entries(draw):
     return {"command": name, **{key: draw(_values(cmd, key)) for key in present}}
 
 
-def _reject_constant(token):
-    raise ValueError(f"{token} is not JSON")
-
-
 @settings(
     max_examples=200,
     deadline=None,
@@ -99,7 +99,7 @@ def test_batch_report_contract(manifest, capsys, tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     code = main(["batch", str(path)])
-    reports = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    reports = json.loads(capsys.readouterr().out, parse_constant=reject_json_constant)
     assert isinstance(reports, list) and len(reports) == len(manifest)
     codes = [rep["exit_code"] for rep in reports]
     assert set(codes) <= CONTRACT_CODES

@@ -2,14 +2,16 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_sym
+from conftest import random_orthogonal, random_sym
 from spdgeom import (
     DomainError,
     ParseError,
+    Subspace,
     block_antidiag_subspace,
     block_diag_subspace,
     build_subspace,
@@ -27,6 +29,54 @@ from spdgeom import (
 )
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def dense_lts_reference(e, tol=1e-9):
+    """The bracket check over the whole (k, k, k, n, n) triple tensor, as
+    einsums: the reference ``lts_check`` must match.  Small n only."""
+    k, b = e.dim, e.basis
+    norms = np.sqrt(np.einsum("kab,kab->k", b, b))
+    inner = np.einsum("jab,kbc->jkac", b, b) - np.einsum("kab,jbc->jkac", b, b)
+    triple = np.einsum("iab,jkbc->ijkac", b, inner) - np.einsum(
+        "jkab,ibc->ijkac", inner, b
+    )
+    coeffs = np.einsum("ijkab,mab->ijkm", triple, b)
+    off = triple - np.einsum("ijkm,mab->ijkab", coeffs, b)
+    res = np.sqrt(np.einsum("ijkab,ijkab->ijk", off, off))
+    rel = res / np.maximum(1.0, np.einsum("i,j,k->ijk", norms, norms, norms))
+    witness = None
+    if rel.max() > tol:
+        witness = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    double_max = rel[np.arange(k), np.arange(k), :].max()
+    if k > 1:
+        polar = off + off.transpose(1, 0, 2, 3, 4)
+        polar_rel = np.sqrt(np.einsum("ijkab,ijkab->ijk", polar, polar)) / np.maximum(
+            1.0, np.einsum("i,j,k->ijk", norms, norms, norms)
+        )
+        iu, ju = np.triu_indices(k, 1)
+        double_max = max(double_max, polar_rel[iu, ju, :].max())
+    return rel.max(), witness, off, double_max
+
+
+def _equivalence_cases(rng, count):
+    """Random generator sets, block-diagonal and antidiagonal LTS cases in a
+    random orthonormal frame, and sparse ready-made subspaces, at n <= 6."""
+    for case in range(count):
+        n = int(rng.integers(2, 7))
+        if case % 3:
+            gens = [random_sym(rng, n) for _ in range(int(rng.integers(1, 8)))]
+        else:
+            p = int(rng.integers(1, n))
+            base = block_diag_subspace([p, n - p]) if case % 2 else (
+                block_antidiag_subspace(p, n - p)
+            )
+            q = random_orthogonal(rng, n)
+            gens = [q @ g @ q.T for g in base.basis]
+        yield build_subspace(gens)
+    yield block_diag_subspace([2, 1, 3])
+    yield block_antidiag_subspace(2, 3)
+    yield zero_diag_block_subspace([1, 1, 1])
+    yield zero_diag_block_subspace([2, 1, 2])
 
 
 def _orthonormal(sub):
@@ -59,6 +109,10 @@ class TestBuild:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DomainError):
             build_subspace([np.eye(2), np.eye(3)])
+
+    def test_non_finite_basis_rejected(self):
+        with pytest.raises(DomainError):
+            Subspace(n=2, basis=np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
 
 
 class TestProjection:
@@ -188,6 +242,40 @@ class TestLtsCheck:
             rot = build_subspace(list(np.einsum("ij,jab->iab", mix, sub.basis)))
             assert rot.dim == sub.dim
             assert lts_check(rot).is_lts
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for sub in _equivalence_cases(rng, 150):
+            report = lts_check(sub)
+            max_rel, witness, off, double_max = dense_lts_reference(sub)
+            assert report.is_lts == (max_rel <= report.tol)
+            assert report.double_bracket_is_lts == (double_max <= report.tol)
+            assert report.max_residual == pytest.approx(max_rel, abs=1e-13)
+            assert report.double_bracket_residual == pytest.approx(double_max, abs=1e-13)
+            verdicts.add(report.is_lts)
+            if witness is None:
+                assert report.witness is None
+                continue
+            i, j, k = witness
+            w = report.witness
+            for got, index in ((w.x, i), (w.y, j), (w.z, k)):
+                assert np.array_equal(got, sub.basis[index])
+            assert w.residual == report.max_residual
+            np.testing.assert_allclose(w.off_component, off[i, j, k], rtol=0, atol=1e-13)
+        assert verdicts == {True, False}
+
+    def test_diag_64_fits_in_memory(self):
+        sub = diag_subspace(64)
+        tracemalloc.start()
+        try:
+            report = lts_check(sub)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.is_lts and report.max_residual == 0.0
+        assert report.double_bracket_residual == 0.0
+        assert peak < 256 * 2**20
 
     def test_sl2_subspace_is_lts(self):
         assert lts_check(sl2_traceless_diag_subspace()).is_lts
