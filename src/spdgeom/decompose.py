@@ -37,6 +37,7 @@ from .matfun import (
     spd_sqrt_pair,
     sym_eigen,
     _check_spd_spectrum,
+    _rebuild,
 )
 from .subspace import Subspace, lts_check, project_trace
 
@@ -164,21 +165,22 @@ def geodesic_project(
     else:
         y = require_spd(initial)
 
-    _, x_inv_sqrt = spd_sqrt_pair(x)
-
-    def dist_to_x(z):
-        eig = sym_eigen(as_sym(x_inv_sqrt @ z @ x_inv_sqrt))
+    def inner_at(z):
+        # The spectrum of z^{-1/2} x z^{-1/2} gives both the distance to x
+        # and, at an accepted point, the next gradient: one
+        # eigendecomposition serves the step test and the following step.
+        zs, zis = spd_sqrt_pair(z)
+        eig = sym_eigen(as_sym(zis @ x @ zis))
         _check_spd_spectrum(eig.lam)
-        dist = float(np.sqrt(np.sum(np.log(eig.lam) ** 2)))
+        log_lam = np.log(eig.lam)
+        dist = float(np.sqrt(np.sum(log_lam**2)))
         noise = _DIST_NOISE_FACTOR * float(eig.lam[0] / eig.lam[-1])
-        return dist, noise
+        return zs, eig, log_lam, dist, noise
 
-    d_cur, noise_cur = dist_to_x(y)
+    ys, eig, log_lam, d_cur, noise_cur = inner_at(y)
     residual = None
     for iteration in range(max_iter):
-        ys, yis = spd_sqrt_pair(y)
-        u = spd_log(as_sym(yis @ x @ yis))
-        grad = project_trace(e_sub, u)
+        grad = project_trace(e_sub, _rebuild(eig, log_lam))
         residual = frobenius(grad)
         if residual <= tol:
             return ProjectionResult(pi=y, iterations=iteration, residual=residual)
@@ -188,12 +190,14 @@ def geodesic_project(
         s = min(step, 2.0 / (1.0 + _hessian_bound(d_cur)))
         while True:
             y_new = as_sym(ys @ spd_exp(s * grad) @ ys)
-            d_new, noise_new = dist_to_x(y_new)
+            trial = inner_at(y_new)
+            d_new, noise_new = trial[3], trial[4]
             slack = max(noise_cur, noise_new) * max(1.0, d_cur)
             if d_new <= d_cur + slack or s <= _MIN_STEP_FACTOR * step:
                 break
             s *= 0.5
-        y, d_cur, noise_cur = y_new, d_new, noise_new
+        y = y_new
+        ys, eig, log_lam, d_cur, noise_cur = trial
 
     raise ConvergenceError(
         f"projection did not reach residual {tol:.1e} in {max_iter} iterations "
