@@ -99,7 +99,9 @@ def _read_json_matrix(obj, origin):
         try:
             declared = int(obj.get("n", m.shape[0]))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{origin}: declared n={obj['n']!r} is not an integer") from exc
+            raise ParseError(
+                f"{origin}: declared n={obj['n']!r} is not an integer"
+            ) from exc
         if declared != m.shape[0]:
             raise ParseError(
                 f"{origin}: declared n={obj['n']} but data is {m.shape[0]} x {m.shape[1]}"

@@ -37,7 +37,6 @@ from .matfun import (
     spd_sqrt_pair,
     sym_eigen,
     _check_spd_spectrum,
-    _rebuild,
 )
 from .subspace import Subspace, lts_check, project_trace
 
@@ -165,22 +164,21 @@ def geodesic_project(
     else:
         y = require_spd(initial)
 
-    def inner_at(z):
-        # The spectrum of z^{-1/2} x z^{-1/2} gives both the distance to x
-        # and, at an accepted point, the next gradient: one
-        # eigendecomposition serves the step test and the following step.
-        zs, zis = spd_sqrt_pair(z)
-        eig = sym_eigen(as_sym(zis @ x @ zis))
-        _check_spd_spectrum(eig.lam)
-        log_lam = np.log(eig.lam)
-        dist = float(np.sqrt(np.sum(log_lam**2)))
-        noise = _DIST_NOISE_FACTOR * float(eig.lam[0] / eig.lam[-1])
-        return zs, eig, log_lam, dist, noise
+    _, x_inv_sqrt = spd_sqrt_pair(x)
 
-    ys, eig, log_lam, d_cur, noise_cur = inner_at(y)
+    def dist_to_x(z):
+        eig = sym_eigen(as_sym(x_inv_sqrt @ z @ x_inv_sqrt))
+        _check_spd_spectrum(eig.lam)
+        dist = float(np.sqrt(np.sum(np.log(eig.lam) ** 2)))
+        noise = _DIST_NOISE_FACTOR * float(eig.lam[0] / eig.lam[-1])
+        return dist, noise
+
+    d_cur, noise_cur = dist_to_x(y)
     residual = None
     for iteration in range(max_iter):
-        grad = project_trace(e_sub, _rebuild(eig, log_lam))
+        ys, yis = spd_sqrt_pair(y)
+        u = spd_log(as_sym(yis @ x @ yis))
+        grad = project_trace(e_sub, u)
         residual = frobenius(grad)
         if residual <= tol:
             return ProjectionResult(pi=y, iterations=iteration, residual=residual)
@@ -190,14 +188,12 @@ def geodesic_project(
         s = min(step, 2.0 / (1.0 + _hessian_bound(d_cur)))
         while True:
             y_new = as_sym(ys @ spd_exp(s * grad) @ ys)
-            trial = inner_at(y_new)
-            d_new, noise_new = trial[3], trial[4]
+            d_new, noise_new = dist_to_x(y_new)
             slack = max(noise_cur, noise_new) * max(1.0, d_cur)
             if d_new <= d_cur + slack or s <= _MIN_STEP_FACTOR * step:
                 break
             s *= 0.5
-        y = y_new
-        ys, eig, log_lam, d_cur, noise_cur = trial
+        y, d_cur, noise_cur = y_new, d_new, noise_new
 
     raise ConvergenceError(
         f"projection did not reach residual {tol:.1e} in {max_iter} iterations "

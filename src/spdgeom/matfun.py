@@ -77,10 +77,6 @@ def _jacobi_rounds(n):
     pivots untouched, so applying a whole round as a single orthogonal
     similarity reproduces the sequential result exactly while doing the work
     in a few dense matrix products.
-
-    Each round is a (4, m) array of flat row-major indices into an n x n
-    matrix, one column per pivot pair (p, r) with p < r: the rows hold the
-    positions (p, p), (r, r), (p, r) and (r, p).
     """
     cached = _ROUND_CACHE.get(n)
     if cached is not None:
@@ -95,9 +91,12 @@ def _jacobi_rounds(n):
             a, b = players[i], players[m - 1 - i]
             if a != bye and b != bye:
                 pairs.append((min(a, b), max(a, b)))
-        p = np.array([a for a, _ in pairs], dtype=int)
-        r = np.array([b for _, b in pairs], dtype=int)
-        rounds.append(np.stack([p * n + p, r * n + r, p * n + r, r * n + p]))
+        rounds.append(
+            (
+                np.array([p for p, _ in pairs], dtype=int),
+                np.array([r for _, r in pairs], dtype=int),
+            )
+        )
         players = [players[0], players[-1]] + players[1:-1]
     _ROUND_CACHE[n] = rounds
     return rounds
@@ -125,8 +124,7 @@ def sym_eigen(a):
     a = as_sym(a)
     n = a.shape[0]
     work = a.copy()
-    eye = np.eye(n)
-    q = eye.copy()
+    q = np.eye(n)
     target = _JACOBI_TOL * frobenius(a)
     # Rotations whose pivot is below this cannot push the off-norm over the
     # target, so they are skipped.
@@ -142,23 +140,26 @@ def sym_eigen(a):
                 residual=off,
                 iterations=sweeps,
             )
-        for idx in _jacobi_rounds(n):
-            pivots = work.take(idx[2])
+        for pp, rr in _jacobi_rounds(n):
+            pivots = work[pp, rr]
             live = np.abs(pivots) > skip
-            if not live.all():
-                if not live.any():
-                    continue
-                idx = idx[:, live]
-                pivots = pivots[live]
-            theta = (work.take(idx[1]) - work.take(idx[0])) / (2.0 * pivots)
+            if not np.any(live):
+                continue
+            p = pp[live]
+            r = rr[live]
+            apr = pivots[live]
+            theta = (work[r, r] - work[p, p]) / (2.0 * apr)
             t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
-            # rot[p, p] = rot[r, r] = c, rot[p, r] = s, rot[r, p] = -s.
-            rot = eye.copy()
-            rot.put(idx, np.concatenate((c, c, s, -s)))
+            rot = np.eye(n)
+            rot[p, p] = c
+            rot[r, r] = c
+            rot[p, r] = s
+            rot[r, p] = -s
             work = rot.T @ work @ rot
-            work.put(idx[2:], 0.0)
+            work[p, r] = 0.0
+            work[r, p] = 0.0
             q = q @ rot
         work = (work + work.T) / 2.0
         sweeps += 1

@@ -206,7 +206,7 @@ def lts_check(e, tol=1e-9):
     subspace of n x n matrices costs O(k^2 n^2) memory and O(k^3 n^2 (n + k))
     time, the k^4 n^2 part being the projections.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tolerance must be positive")
     cached = e._lts_cache.get(tol)
     if cached is not None:

@@ -359,14 +359,20 @@ class TestBatch:
             '{"command": "geodesic", "a": "[[2]]", "b": "[[3]]", "t": NaN}',
             '{"command": "dist", "a": "[[2]]", "b": "[[3]]", "note": [1, -Infinity]}',
             '{"command": "geodesic", "a": "[[2]]", "b": "[[3]]", "t": "inf"}',
+            # Strings that convert to a non-finite option: without the check
+            # the reports would echo t = -Infinity and tol = Infinity.
+            '{"command": "geodesic", "a": "[[2]]", "b": "[[3]]", "t": "-inf"}',
+            '{"command": "lts", "subspace": "diag", "n": 2, "tol": "inf"}',
             '{"command": Infinity}',
         ]
         path = tmp_path / "batch.json"
         path.write_text("[" + ", ".join([good, *bad, good]) + "]")
         code = main(["batch", str(path)])
         reports = json.loads(capsys.readouterr().out, parse_constant=reject_json_constant)
-        assert [r["exit_code"] for r in reports] == [0, 2, 2, 2, 2, 2, 0]
-        assert [r["command"] for r in reports[1:5]] == ["geodesic", "geodesic", "dist", "geodesic"]
+        assert [r["exit_code"] for r in reports] == [0] + [2] * len(bad) + [0]
+        assert [r["command"] for r in reports[1:7]] == [
+            "geodesic", "geodesic", "dist", "geodesic", "geodesic", "lts"
+        ]
         assert reports[4]["params"]["t"] == "inf"
         assert reports[-1]["outputs"]["distance"] == pytest.approx(math.log(3.0), abs=1e-9)
         assert code == 2

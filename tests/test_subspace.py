@@ -284,6 +284,11 @@ class TestLtsCheck:
         with pytest.raises(DomainError):
             lts_check(diag_subspace(2), tol=0.0)
 
+    def test_rejects_nan_tolerance(self):
+        # With no nonzero bracket there is no witness triple to report.
+        with pytest.raises(DomainError):
+            lts_check(diag_subspace(2), tol=math.nan)
+
 
 class TestMultiBlock:
     def test_three_singleton_blocks_fail(self):
