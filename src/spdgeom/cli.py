@@ -486,6 +486,9 @@ def run_report(command, params):
         inputs, outputs, diagnostics = _run(COMMANDS[command], params)
     except SpdGeomError as exc:
         return _report(command, params, exc)
+    except MemoryError as exc:  # e.g. a ready-made subspace of huge n
+        error = DomainError(f"input too large for memory: {exc}")
+        return _report(command, params, error)
     report = _report(command, params)
     report.update(inputs=inputs, outputs=outputs)
     report["diagnostics"].update(diagnostics)

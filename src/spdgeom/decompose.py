@@ -7,13 +7,12 @@ stationarity condition
 
     P_E( log( pi^{-1/2} x pi^{-1/2} ) ) = 0,
 
-which this module solves by a Riemannian gradient iteration on exp(E): the
-tangent space at y is y^{1/2} E y^{1/2}, so one step moves
-
-    y  <-  y^{1/2} exp( step * P_E( log( y^{-1/2} x y^{-1/2} ) ) ) y^{1/2},
-
-with the step halved whenever the distance to x fails to decrease.  The
-converged residual doubles as the correctness certificate.
+which this module solves by damped Riemannian Newton on exp(E) (Absil,
+Mahony and Sepulchre, 2008, ch. 6), keeping the iterate as y = exp(w) with
+w in E.  In the chart v -> y^{1/2} exp(v) y^{1/2}, v in E, the gradient of
+d^2(., x)/2 is -P_E(u), u = log(y^{-1/2} x y^{-1/2}), and its Hessian is
+phi(ad u) on E with phi(t) = (t/2) coth(t/2).  The converged residual
+|P_E(u)| doubles as the correctness certificate.
 
 The projection yields the two-sided factorization x = e f e with
 e = pi(x)^{1/2} in exp(E) and f in exp(E^perp), and the global factorization
@@ -21,10 +20,12 @@ g = k f e of any invertible matrix with k orthogonal, obtained by factoring
 g^T g = e f^2 e.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dexp import _kernel_u_coth_half
 from .errors import ConvergenceError, DomainError
 from .matfun import (
     as_sym,
@@ -37,30 +38,13 @@ from .matfun import (
     spd_sqrt_pair,
     sym_eigen,
     _check_spd_spectrum,
+    _rebuild,
 )
 from .subspace import Subspace, lts_check, project_trace
 
 _DEFAULT_TOL = 1e-11
 _DEFAULT_MAX_ITER = 500
 _DEFAULT_STEP = 1.0
-# Step halving floor: below this fraction of the initial step the iteration
-# accepts the candidate and relies on the residual test to terminate.
-_MIN_STEP_FACTOR = 2.0**-40
-# Sectional curvature is bounded below by -2, so along the sphere of radius
-# d around x the Hessian of d^2/2 restricted to any totally geodesic
-# submanifold has eigenvalues in [1, r coth r] with r = sqrt(2) d.
-_CURVATURE_BOUND = 2.0
-# Distance values carry rounding noise of order eps * cond of the matrix
-# whose spectrum is taken; comparisons within that noise must not trigger
-# backtracking (the curvature-capped trial step already guarantees descent).
-_DIST_NOISE_FACTOR = 100.0 * np.finfo(float).eps
-
-
-def _hessian_bound(dist_to_target):
-    r = np.sqrt(_CURVATURE_BOUND) * dist_to_target
-    if r < 1e-8:
-        return 1.0
-    return float(r / np.tanh(r))
 
 
 @dataclass(frozen=True)
@@ -98,6 +82,18 @@ class GlFactors:
     residual: float
 
 
+def _require_pair(x, e_sub):
+    """x as a checked positive-definite matrix of E's ambient dimension."""
+    if not isinstance(e_sub, Subspace):
+        raise DomainError("e_sub must be a Subspace")
+    x = require_spd(x)
+    if x.shape[0] != e_sub.n:
+        raise DomainError(
+            f"matrix dimension {x.shape[0]} != subspace ambient {e_sub.n}"
+        )
+    return x
+
+
 def _require_lts(e_sub, unchecked):
     if unchecked:
         return
@@ -111,6 +107,52 @@ def _require_lts(e_sub, unchecked):
         )
 
 
+class _Iterate:
+    """y = exp(w), w in E, with the gradient and Hessian data of d^2(., x)/2."""
+
+    def __init__(self, x, e_sub, w):
+        self.eig_w = sym_eigen(w)
+        half = np.exp(self.eig_w.lam / 2.0)
+        self.y_half = _rebuild(self.eig_w, half)
+        y_inv_half = _rebuild(self.eig_w, 1.0 / half)
+        eig_z = sym_eigen(as_sym(y_inv_half @ x @ y_inv_half))
+        _check_spd_spectrum(eig_z.lam)
+        # u = log z = Q diag(mu) Q^T; |mu| is the distance d(y, x).
+        self.mu = np.log(eig_z.lam)
+        # Row i holds Q^T B_i Q, flattened; its diagonal gives <B_i, u>.
+        self.basis_q = (eig_z.q.T @ e_sub.basis @ eig_z.q).reshape(e_sub.dim, -1)
+        self.grad = self.basis_q[:, :: x.shape[0] + 1] @ self.mu
+        self.residual = frobenius(self.grad)
+
+    def hessian(self):
+        """H_ij = <B_i, phi(ad u) B_j>, phi(t) = (t/2) coth(t/2)."""
+        phi = 0.5 * _kernel_u_coth_half(self.mu[:, None] - self.mu[None, :])
+        return (self.basis_q * phi.ravel()) @ self.basis_q.T
+
+
+def _advance(x, e_sub, cur, step):
+    """One step from ``cur``: (next iterate, whether it is the Newton trial)."""
+
+    def move(coeffs):
+        v = np.tensordot(coeffs, e_sub.basis, axes=1)
+        m = as_sym(cur.y_half @ spd_exp(v) @ cur.y_half)
+        # Projecting onto E keeps the iterate on exp(E) to rounding.
+        return _Iterate(x, e_sub, project_trace(e_sub, spd_log(m)))
+
+    try:
+        trial = move(np.linalg.solve(cur.hessian(), cur.grad))
+        # Near the minimizer Newton shrinks the residual quadratically; short
+        # of halving it, it may have jumped across to a point as far off.
+        if trial.residual <= 0.5 * cur.residual:
+            return trial, True
+    except DomainError:
+        pass
+    # Within distance d of x the Hessian is at most L = (r/2) coth(r/2),
+    # r = sqrt(2) d bounding the spread of u's eigenvalues: 1/L descends.
+    bound = 0.5 * float(_kernel_u_coth_half(np.sqrt(2.0) * frobenius(cur.mu)))
+    return move(min(step, 1.0 / bound) * cur.grad), False
+
+
 def geodesic_project(
     x,
     e_sub,
@@ -121,7 +163,8 @@ def geodesic_project(
     unchecked=False,
     initial=None,
 ):
-    """Closest point of exp(E) to x in the geodesic distance.
+    """Closest point of exp(E) to x in the geodesic distance, by damped
+    Newton: four eigendecompositions per step, eight with the fallback.
 
     Parameters
     ----------
@@ -132,15 +175,14 @@ def geodesic_project(
         unchecked run still converges to a stationary point, but uniqueness
         and minimality are only guaranteed for bracket-closed subspaces).
     tol : float
-        Convergence threshold on the Frobenius norm of
-        P_E(log(y^{-1/2} x y^{-1/2})).  The attainable floor scales with the
-        conditioning of that inner matrix (roughly eps times the exponential
-        of the distance to the submanifold); tolerances below it end in a
-        ConvergenceError.
+        Threshold on the residual |P_E(log(y^{-1/2} x y^{-1/2}))|.  Its rounding
+        noise grows with the conditioning of y^{-1/2} x y^{-1/2} (1e-10 to 1e-9
+        at 2e7); below it a tolerance is met only by chance, else ConvergenceError.
     max_iter, step : int, float
-        Iteration cap and initial step of each iteration.
+        Iterates examined, the start included; cap on the gradient step
+        length factor min(step, 1/L), L bounding the Hessian at the distance.
     initial : array_like, optional
-        Starting point in exp(E); defaults to exp(P_E(log x)).
+        Start from exp(P_E(log initial)); defaults to exp(P_E(log x)).
 
     Raises
     ------
@@ -148,57 +190,24 @@ def geodesic_project(
         If the residual does not fall below ``tol`` within ``max_iter``
         iterations; carries the last residual.
     """
-    if not isinstance(e_sub, Subspace):
-        raise DomainError("e_sub must be a Subspace")
-    x = require_spd(x)
-    if x.shape[0] != e_sub.n:
-        raise DomainError(
-            f"matrix dimension {x.shape[0]} != subspace ambient {e_sub.n}"
-        )
-    if tol <= 0 or max_iter < 1 or step <= 0:
-        raise DomainError("tol and step must be positive and max_iter >= 1")
+    x = _require_pair(x, e_sub)
+    count_ok = isinstance(max_iter, numbers.Integral) and max_iter >= 1
+    if not (tol > 0 and step > 0 and count_ok):
+        raise DomainError("tol and step must be positive and max_iter an integer >= 1")
     _require_lts(e_sub, unchecked)
 
-    if initial is None:
-        y = spd_exp(project_trace(e_sub, spd_log(x)))
-    else:
-        y = require_spd(initial)
-
-    _, x_inv_sqrt = spd_sqrt_pair(x)
-
-    def dist_to_x(z):
-        eig = sym_eigen(as_sym(x_inv_sqrt @ z @ x_inv_sqrt))
-        _check_spd_spectrum(eig.lam)
-        dist = float(np.sqrt(np.sum(np.log(eig.lam) ** 2)))
-        noise = _DIST_NOISE_FACTOR * float(eig.lam[0] / eig.lam[-1])
-        return dist, noise
-
-    d_cur, noise_cur = dist_to_x(y)
-    residual = None
+    w = project_trace(e_sub, spd_log(x if initial is None else initial))
+    cur = _Iterate(x, e_sub, w)
     for iteration in range(max_iter):
-        ys, yis = spd_sqrt_pair(y)
-        u = spd_log(as_sym(yis @ x @ yis))
-        grad = project_trace(e_sub, u)
-        residual = frobenius(grad)
-        if residual <= tol:
-            return ProjectionResult(pi=y, iterations=iteration, residual=residual)
-        # A step below 2 / (1 + L) is guaranteed to contract both the
-        # distance and the residual; larger requested steps fall back to the
-        # halving loop.
-        s = min(step, 2.0 / (1.0 + _hessian_bound(d_cur)))
-        while True:
-            y_new = as_sym(ys @ spd_exp(s * grad) @ ys)
-            d_new, noise_new = dist_to_x(y_new)
-            slack = max(noise_cur, noise_new) * max(1.0, d_cur)
-            if d_new <= d_cur + slack or s <= _MIN_STEP_FACTOR * step:
-                break
-            s *= 0.5
-        y, d_cur, noise_cur = y_new, d_new, noise_new
-
+        if cur.residual <= tol:
+            pi = _rebuild(cur.eig_w, np.exp(cur.eig_w.lam))
+            return ProjectionResult(pi=pi, iterations=iteration, residual=cur.residual)
+        if iteration + 1 < max_iter:
+            cur, _ = _advance(x, e_sub, cur, step)
     raise ConvergenceError(
         f"projection did not reach residual {tol:.1e} in {max_iter} iterations "
-        f"(last residual {residual:.3e})",
-        residual=residual,
+        f"(last residual {cur.residual:.3e})",
+        residual=cur.residual,
         iterations=max_iter,
     )
 
@@ -212,16 +221,10 @@ def mostow_spd(x, e_sub, **opts):
     """
     x = require_spd(x)
     proj = geodesic_project(x, e_sub, **opts)
-    pi = proj.pi
-    eig = sym_eigen(pi)
-    _check_spd_spectrum(eig.lam)
-    root = np.sqrt(eig.lam)
-    e = (eig.q * root) @ eig.q.T
-    e = (e + e.T) / 2.0
-    e_inv = (eig.q / root) @ eig.q.T
+    e, e_inv = spd_sqrt_pair(proj.pi)
     f = as_sym(e_inv @ x @ e_inv)
     return MostowFactors(
-        e=e, f=f, pi=pi, iterations=proj.iterations, residual=proj.residual
+        e=e, f=f, pi=proj.pi, iterations=proj.iterations, residual=proj.residual
     )
 
 
@@ -240,10 +243,11 @@ def mostow_gl(g, e_sub, **opts):
     s = as_sym(g.T @ g)
     eig = sym_eigen(s)
     # Singular values of g are the square roots of these eigenvalues.
-    if eig.lam[-1] <= 1e-20 * eig.lam[0]:
+    ratio = eig.lam[-1] / eig.lam[0] if eig.lam[0] > 0 else 0.0
+    if ratio <= 1e-20:
         raise DomainError(
             "matrix is too close to singular "
-            f"(squared singular value ratio {eig.lam[-1] / eig.lam[0]:.3e})"
+            f"(squared singular value ratio {ratio:.3e})"
         )
     factors = mostow_spd(s, e_sub, **opts)
     f = spd_sqrt(factors.f)
@@ -286,11 +290,4 @@ class TranslatedSubmanifold:
 
 def translate_convex_submanifold(x, e_sub):
     """Normal form (x, E) of the translated submanifold through x."""
-    if not isinstance(e_sub, Subspace):
-        raise DomainError("e_sub must be a Subspace")
-    x = require_spd(x)
-    if x.shape[0] != e_sub.n:
-        raise DomainError(
-            f"matrix dimension {x.shape[0]} != subspace ambient {e_sub.n}"
-        )
-    return TranslatedSubmanifold(base=x, subspace=e_sub)
+    return TranslatedSubmanifold(base=_require_pair(x, e_sub), subspace=e_sub)

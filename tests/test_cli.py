@@ -201,6 +201,22 @@ class TestExitCodes:
         code, rep = run_cli(capsys, "gl", "[[1,1],[1,1]]", "diag")
         assert code == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_matrix_gl_is_singular_with_finite_message(self, capsys):
+        code, rep = run_cli(capsys, "gl", "[[0]]", "diag")
+        assert code == 3
+        assert rep["error"]["type"] == "domain"
+        assert "singular" in rep["error"]["message"]
+        assert "nan" not in rep["error"]["message"]
+
+    def test_out_of_memory_gives_domain_report(self, capsys):
+        # The (n, n, n) diagonal basis asks numpy for 7 PiB, which it refuses
+        # without allocating.
+        code, rep = run_cli(capsys, "lts", "diag", "--n", "100000")
+        assert code == 3
+        assert rep["error"]["type"] == "domain"
+        assert "memory" in rep["error"]["message"]
+
     def test_non_convergence_exit(self, capsys):
         code, rep = run_cli(
             capsys, "project", json.dumps(X33), "diag", "--max-iter", "1"
@@ -319,6 +335,18 @@ class TestBatch:
         reports = json.loads(capsys.readouterr().out)
         assert code == 0
         assert [r["exit_code"] for r in reports] == [0, 0]
+
+    def test_out_of_memory_entry_between_good_ones(self, capsys, tmp_path):
+        good = {"command": "dist", "a": "[[1,0],[0,1]]", "b": json.dumps(X22)}
+        huge = {"command": "lts", "subspace": "diag", "n": 100000}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([good, huge, good]))
+        code = main(["batch", str(path)])
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["exit_code"] for r in reports] == [0, 3, 0]
+        assert reports[1]["error"]["type"] == "domain"
+        assert reports[2]["outputs"]["distance"] == pytest.approx(math.log(3.0), abs=1e-9)
+        assert code == 3
 
     def test_malformed_manifest(self, capsys, tmp_path):
         path = tmp_path / "batch.json"

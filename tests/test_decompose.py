@@ -6,9 +6,11 @@ golden-section refinement, with all distances evaluated through scipy.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_invertible, random_orthogonal, random_spd, random_sym
 from spdgeom import (
@@ -32,6 +34,7 @@ from spdgeom import (
     spd_sqrt,
     translate_convex_submanifold,
 )
+from spdgeom.decompose import _advance, _Iterate
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
 X22 = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -210,6 +213,143 @@ class TestGeodesicProject:
         with pytest.raises(DomainError):
             geodesic_project(np.eye(3), diag_subspace(2))
 
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            {"tol": math.nan},
+            {"tol": 0.0},
+            {"step": math.nan},
+            {"step": -1.0},
+            {"max_iter": math.nan},
+            {"max_iter": 2.5},
+            {"max_iter": 0},
+        ],
+    )
+    def test_rejects_bad_options(self, opts):
+        with pytest.raises(DomainError):
+            geodesic_project(X22, diag_subspace(2), **opts)
+
+
+def half_sq_dist(a, b):
+    """d(a, b)^2 / 2 from scipy's generalized eigenvalues of (b, a)."""
+    lam = scipy.linalg.eigh(b, a, eigvals_only=True)
+    return 0.5 * float(np.sum(np.log(lam) ** 2))
+
+
+def second_derivative(f, h=1e-2):
+    """Central second difference at 0, Richardson-extrapolated to O(h^4)."""
+    def d2(s):
+        return (f(s) - 2.0 * f(0.0) + f(-s)) / (s * s)
+    return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
+
+
+def stress_inputs():
+    """The stress set: x = Q diag(10^linspace(0, c, n)) Q^T against diag,
+    block and antiblock E for n in {2, 3, 5, 8, 12} and c in {1, 4, 8},
+    five draws each, the last two started from exp(P_E(3 G)) with G
+    symmetric Gaussian.  Yields (c, x, E, start or None)."""
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 5, 8, 12):
+        p = n // 2
+        subs = (
+            diag_subspace(n),
+            block_diag_subspace([p, n - p]),
+            block_antidiag_subspace(p, n - p),
+        )
+        for c in (1, 4, 8):
+            for e_sub in subs:
+                for draw in range(5):
+                    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                    x = (q * 10.0 ** np.linspace(0, c, n)) @ q.T
+                    g = rng.standard_normal((n, n))
+                    start = spd_exp(project_trace(e_sub, 3.0 * (g + g.T) / 2.0))
+                    yield c, (x + x.T) / 2.0, e_sub, start if draw >= 3 else None
+
+
+SMALL_SUBSPACES = [
+    diag_subspace(4),
+    block_diag_subspace([2, 3]),
+    block_antidiag_subspace(2, 3),
+    block_antidiag_subspace(1, 1),
+]
+
+
+class TestNewtonProjection:
+    @pytest.mark.parametrize("e_sub", SMALL_SUBSPACES, ids=lambda e: f"n{e.n}k{e.dim}")
+    def test_hessian_matches_second_differences(self, e_sub):
+        rng = np.random.default_rng(17)
+        n, k = e_sub.n, e_sub.dim
+        x = random_spd(rng, n, cond=100.0)
+        w = project_trace(e_sub, random_sym(rng, n))
+        for base in (np.zeros((n, n)), w):
+            it = _Iterate(x, e_sub, base)
+            hess = it.hessian()
+            y_half = spd_exp(base / 2.0)
+
+            def f(a, b):
+                # d^2/2 along y^{1/2} exp(t(a + b)) y^{1/2}, which at w = 0
+                # is exp(w + t(a + b)).
+                def along(t):
+                    m = y_half @ scipy.linalg.expm(t * (a + b)) @ y_half
+                    return half_sq_dist(m, x)
+                return second_derivative(along)
+
+            fd = np.empty((k, k))
+            diag = [f(b, 0.0) for b in e_sub.basis]
+            for i in range(k):
+                for j in range(k):
+                    both = f(e_sub.basis[i], e_sub.basis[j]) if i != j else 4 * diag[i]
+                    fd[i, j] = (both - diag[i] - diag[j]) / 2.0
+            np.testing.assert_allclose(hess, fd, atol=1e-6 * max(1.0, np.abs(fd).max()))
+            # The gradient coefficients are the first derivatives, negated.
+            for i, b in enumerate(e_sub.basis):
+                def line(t, b=b):
+                    return half_sq_dist(y_half @ scipy.linalg.expm(t * b) @ y_half, x)
+                slope = (line(1e-5) - line(-1e-5)) / 2e-5
+                assert it.grad[i] == pytest.approx(-slope, abs=1e-6)
+
+    def test_iterate_stays_on_exp_e(self):
+        # The result is exp(w) with w in E: its log has no E-orthogonal part
+        # beyond rounding, even after steps from a far start.  At c = 8 the
+        # default tolerance lies below the noise floor (see geodesic_project),
+        # so only the c <= 4 part runs here.
+        worst = 0.0
+        for c, x, e_sub, start in stress_inputs():
+            if c > 4:
+                continue
+            res = geodesic_project(x, e_sub, initial=start)
+            log_pi = spd_log(res.pi)
+            worst = max(worst, frobenius(log_pi - project_trace(e_sub, log_pi)))
+        assert worst <= 1e-11
+
+    def test_few_newton_iterations(self):
+        rng = np.random.default_rng(18)
+        iterations = []
+        for n, e_sub in ((3, diag_subspace(3)), (4, block_diag_subspace([2, 2]))):
+            for _ in range(10):
+                x = random_spd(rng, n, cond=1e3)
+                iterations.append(geodesic_project(x, e_sub).iterations)
+        assert np.mean(iterations) <= 5 and max(iterations) <= 8
+
+    def test_gradient_fallback_from_far_start(self):
+        # From this start the Newton step jumps across the minimizer to a
+        # point about as far on the other side; the gradient step is taken.
+        e_sub = block_antidiag_subspace(1, 1)
+        rot = np.array([[math.cos(0.5), -math.sin(0.5)], [math.sin(0.5), math.cos(0.5)]])
+        x = (rot * [1.0, 1e4]) @ rot.T
+        start = spd_exp(-6.0 * e_sub.basis[0])
+        it = _Iterate(x, e_sub, spd_log(start))
+        kinds = []
+        while it.residual > 1e-11:
+            it, newton = _advance(x, e_sub, it, 1.0)
+            kinds.append(newton)
+        assert not kinds[0]
+        assert len(kinds) <= 12
+        far = geodesic_project(x, e_sub, initial=start)
+        near = geodesic_project(x, e_sub)
+        assert far.iterations == len(kinds)
+        np.testing.assert_allclose(far.pi, near.pi, rtol=1e-9)
+
 
 class TestMostowSpd:
     def test_golden_example(self):
@@ -300,6 +440,13 @@ class TestMostowGl:
     def test_rejects_non_square(self):
         with pytest.raises(DomainError):
             mostow_gl(np.ones((2, 3)), diag_subspace(2))
+
+    def test_rejects_zero_matrix_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="singular") as exc_info:
+                mostow_gl(np.zeros((2, 2)), diag_subspace(2))
+        assert "nan" not in str(exc_info.value)
 
 
 class TestTranslatedSubmanifold:
