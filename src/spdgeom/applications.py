@@ -131,7 +131,7 @@ def diag_projection_compare(cov, **opts):
     factorization has unit diagonal, which at n = 2 forces v = 0; hence
     ``equal`` is True only for matrices that are already diagonal.
     """
-    cov = require_spd(cov)
+    cov = as_sym(cov)
     n = cov.shape[0]
     proj = geodesic_project(cov, diag_subspace(n), **opts)
     pi = proj.pi
@@ -170,7 +170,7 @@ def dad_decompose(sigma, partition, **opts):
     """
     partition = _as_partition(partition)
     _require_two_blocks(partition)
-    sigma = require_spd(sigma)
+    sigma = as_sym(sigma)
     if sigma.shape[0] != partition.n:
         raise DomainError("partition does not match the matrix dimension")
     factors = mostow_spd(sigma, block_diag_subspace(partition.sizes), **opts)
@@ -189,7 +189,7 @@ def ada_decompose(sigma, partition, **opts):
     """Factor Sigma = exp(A') exp(D') exp(A') for a two-block partition."""
     partition = _as_partition(partition)
     _require_two_blocks(partition)
-    sigma = require_spd(sigma)
+    sigma = as_sym(sigma)
     if sigma.shape[0] != partition.n:
         raise DomainError("partition does not match the matrix dimension")
     p, q = partition.sizes

@@ -29,7 +29,7 @@ import numpy as np
 
 from .decompose import geodesic_project, mostow_gl, mostow_spd
 from .errors import ConvergenceError, DomainError, ParseError, SpdGeomError
-from .manifold import GeodesicSegment, distance, geodesic, sectional_curvature_id
+from .manifold import distance, geodesic, sectional_curvature_id
 from .matfun import frobenius, spd_exp, spd_log
 from .subspace import (
     block_antidiag_subspace,
@@ -315,7 +315,7 @@ COMMANDS = {
         "point on the geodesic between two matrices", ("a", "b"),
         {"t": Option(float, 0.5), **_FORMAT},
         lambda a, b, t: {
-            "t": t, "point": _matrix_out(geodesic(GeodesicSegment(a, b), t))
+            "t": t, "point": _matrix_out(geodesic((a, b), t))
         },
     ),
     "logm": Command(

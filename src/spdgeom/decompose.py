@@ -20,21 +20,21 @@ g = k f e of any invertible matrix with k orthogonal, obtained by factoring
 g^T g = e f^2 e.
 """
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dexp import _kernel_u_coth_half
 from .errors import ConvergenceError, DomainError
 from .matfun import (
+    EigenDecomposition,
     as_sym,
     frobenius,
     require_spd,
     spd_exp,
-    spd_inv,
     spd_log,
-    spd_sqrt,
     spd_sqrt_pair,
     sym_eigen,
     _check_spd_spectrum,
@@ -54,6 +54,11 @@ class ProjectionResult:
     pi: np.ndarray
     iterations: int
     residual: float
+    # pi = exp(w): the eigendecomposition of w gives the factorizations
+    # pi^{+-1/2} without decomposing pi again.
+    _eig_w: EigenDecomposition = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,11 @@ class GlFactors:
 
 
 def _require_pair(x, e_sub):
-    """x as a checked positive-definite matrix of E's ambient dimension."""
+    """x symmetrized, of E's ambient dimension; positive definiteness is left
+    to the decomposition of x that the caller needs anyway."""
     if not isinstance(e_sub, Subspace):
         raise DomainError("e_sub must be a Subspace")
-    x = require_spd(x)
+    x = as_sym(x)
     if x.shape[0] != e_sub.n:
         raise DomainError(
             f"matrix dimension {x.shape[0]} != subspace ambient {e_sub.n}"
@@ -107,18 +113,26 @@ def _require_lts(e_sub, unchecked):
         )
 
 
+def _half_powers(eig_w):
+    """(exp(w/2), exp(-w/2)) from the eigendecomposition of w."""
+    half = np.exp(eig_w.lam / 2.0)
+    return _rebuild(eig_w, half), _rebuild(eig_w, 1.0 / half)
+
+
 class _Iterate:
     """y = exp(w), w in E, with the gradient and Hessian data of d^2(., x)/2."""
 
     def __init__(self, x, e_sub, w):
         self.eig_w = sym_eigen(w)
-        half = np.exp(self.eig_w.lam / 2.0)
-        self.y_half = _rebuild(self.eig_w, half)
-        y_inv_half = _rebuild(self.eig_w, 1.0 / half)
+        self.y_half, y_inv_half = _half_powers(self.eig_w)
         eig_z = sym_eigen(as_sym(y_inv_half @ x @ y_inv_half))
-        _check_spd_spectrum(eig_z.lam)
+        lam = eig_z.lam
+        cond = lam[0] / lam[-1] if lam[-1] > 0 else math.inf
+        _check_spd_spectrum(
+            lam, f"y^-1/2 x y^-1/2 at the projection iterate y (condition {cond:.1e})"
+        )
         # u = log z = Q diag(mu) Q^T; |mu| is the distance d(y, x).
-        self.mu = np.log(eig_z.lam)
+        self.mu = np.log(lam)
         # Row i holds Q^T B_i Q, flattened; its diagonal gives <B_i, u>.
         self.basis_q = (eig_z.q.T @ e_sub.basis @ eig_z.q).reshape(e_sub.dim, -1)
         self.grad = self.basis_q[:, :: x.shape[0] + 1] @ self.mu
@@ -164,7 +178,9 @@ def geodesic_project(
     initial=None,
 ):
     """Closest point of exp(E) to x in the geodesic distance, by damped
-    Newton: four eigendecompositions per step, eight with the fallback.
+    Newton: one eigendecomposition of x at the start (its logarithm, which
+    also checks x), then four per step, eight with the fallback.
+    ``mostow_spd`` adds none after the projection.
 
     Parameters
     ----------
@@ -182,7 +198,8 @@ def geodesic_project(
         Iterates examined, the start included; cap on the gradient step
         length factor min(step, 1/L), L bounding the Hessian at the distance.
     initial : array_like, optional
-        Start from exp(P_E(log initial)); defaults to exp(P_E(log x)).
+        Start from exp(P_E(log initial)); defaults to exp(P_E(log x)).  A
+        given start costs one more eigendecomposition, to check x.
 
     Raises
     ------
@@ -191,17 +208,23 @@ def geodesic_project(
         iterations; carries the last residual.
     """
     x = _require_pair(x, e_sub)
+    if initial is None:
+        start = spd_log(x)
+    else:
+        require_spd(x)
+        start = spd_log(initial)
     count_ok = isinstance(max_iter, numbers.Integral) and max_iter >= 1
     if not (tol > 0 and step > 0 and count_ok):
         raise DomainError("tol and step must be positive and max_iter an integer >= 1")
     _require_lts(e_sub, unchecked)
 
-    w = project_trace(e_sub, spd_log(x if initial is None else initial))
-    cur = _Iterate(x, e_sub, w)
+    cur = _Iterate(x, e_sub, project_trace(e_sub, start))
     for iteration in range(max_iter):
         if cur.residual <= tol:
             pi = _rebuild(cur.eig_w, np.exp(cur.eig_w.lam))
-            return ProjectionResult(pi=pi, iterations=iteration, residual=cur.residual)
+            result = ProjectionResult(pi, iteration, cur.residual)
+            object.__setattr__(result, "_eig_w", cur.eig_w)  # frozen, init=False
+            return result
         if iteration + 1 < max_iter:
             cur, _ = _advance(x, e_sub, cur, step)
     raise ConvergenceError(
@@ -212,20 +235,26 @@ def geodesic_project(
     )
 
 
+def _factor(x, proj):
+    """x = e f e with e = exp(w/2) taken from the projection pi = exp(w);
+    also returns e^{-1}."""
+    e, e_inv = _half_powers(proj._eig_w)
+    f = as_sym(e_inv @ x @ e_inv)
+    factors = MostowFactors(
+        e=e, f=f, pi=proj.pi, iterations=proj.iterations, residual=proj.residual
+    )
+    return factors, e_inv
+
+
 def mostow_spd(x, e_sub, **opts):
     """Two-sided factorization x = e f e through the geodesic projection.
 
     ``e = pi(x)^{1/2}`` lies in exp(E) and ``f = e^{-1} x e^{-1}`` in
     exp(E^perp); the converged projection residual bounds the E-component of
-    log f.
+    log f.  No eigendecomposition runs after the projection's.
     """
-    x = require_spd(x)
-    proj = geodesic_project(x, e_sub, **opts)
-    e, e_inv = spd_sqrt_pair(proj.pi)
-    f = as_sym(e_inv @ x @ e_inv)
-    return MostowFactors(
-        e=e, f=f, pi=proj.pi, iterations=proj.iterations, residual=proj.residual
-    )
+    x = as_sym(x)
+    return _factor(x, geodesic_project(x, e_sub, **opts))[0]
 
 
 def mostow_gl(g, e_sub, **opts):
@@ -249,9 +278,9 @@ def mostow_gl(g, e_sub, **opts):
             "matrix is too close to singular "
             f"(squared singular value ratio {ratio:.3e})"
         )
-    factors = mostow_spd(s, e_sub, **opts)
-    f = spd_sqrt(factors.f)
-    k = g @ spd_inv(factors.e) @ spd_inv(f)
+    factors, e_inv = _factor(s, geodesic_project(s, e_sub, **opts))
+    f, f_inv = spd_sqrt_pair(factors.f)
+    k = g @ e_inv @ f_inv
     return GlFactors(
         k=k,
         f=f,
@@ -290,4 +319,5 @@ class TranslatedSubmanifold:
 
 def translate_convex_submanifold(x, e_sub):
     """Normal form (x, E) of the translated submanifold through x."""
-    return TranslatedSubmanifold(base=_require_pair(x, e_sub), subspace=e_sub)
+    base = require_spd(_require_pair(x, e_sub))
+    return TranslatedSubmanifold(base=base, subspace=e_sub)

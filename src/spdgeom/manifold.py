@@ -26,9 +26,8 @@ from .matfun import (
     spd_log,
     spd_pow,
     spd_sqrt_pair,
-    sym_eigen,
     tr_inner,
-    _check_spd_spectrum,
+    _spd_eigen,
 )
 
 # Two points closer than this are treated as coincident when an angle or a
@@ -46,6 +45,13 @@ class TangentVector:
     def __post_init__(self):
         self.base = require_spd(self.base)
         self.vec = as_sym(self.vec)
+
+
+def _tangent(base, vec):
+    """TangentVector at a base already checked positive definite."""
+    v = object.__new__(TangentVector)
+    v.base, v.vec = base, vec
+    return v
 
 
 @dataclass
@@ -71,10 +77,12 @@ def metric(x, u, v):
 
 def geodesic(seg, t):
     """Point gamma(t) on a geodesic segment; t may lie outside [0, 1]."""
-    if not isinstance(seg, GeodesicSegment):
-        seg = GeodesicSegment(*seg)
-    xs, xis = spd_sqrt_pair(seg.x)
-    inner = as_sym(xis @ seg.y @ xis)
+    checked = isinstance(seg, GeodesicSegment)
+    x, y = (seg.x, seg.y) if checked else seg
+    xs, xis = spd_sqrt_pair(x)
+    if not checked:
+        y = require_spd(y)
+    inner = as_sym(xis @ y @ xis)
     return as_sym(xs @ spd_pow(inner, t) @ xs)
 
 
@@ -83,21 +91,21 @@ def riem_log(x, y):
 
     Returns ``x^{1/2} log(x^{-1/2} y x^{-1/2}) x^{1/2}`` attached to x.
     """
-    x = require_spd(x)
-    y = as_sym(y)
+    x = as_sym(x)
     xs, xis = spd_sqrt_pair(x)
+    y = as_sym(y)
     u = spd_log(as_sym(xis @ y @ xis))
-    return TangentVector(base=x, vec=as_sym(xs @ u @ xs))
+    return _tangent(x, as_sym(xs @ u @ xs))
 
 
 def riem_exp(x, v):
     """Endpoint at t=1 of the geodesic from x with initial velocity v."""
-    x = require_spd(x)
+    x = as_sym(x)
+    xs, xis = spd_sqrt_pair(x)
     if not isinstance(v, TangentVector):
         raise DomainError("riem_exp expects a TangentVector")
     if frobenius(v.base - x) > 1e-9 * max(1.0, frobenius(x)):
         raise DomainError("tangent vector is not based at the given point")
-    xs, xis = spd_sqrt_pair(x)
     return as_sym(xs @ spd_exp(as_sym(xis @ v.vec @ xis)) @ xs)
 
 
@@ -107,12 +115,9 @@ def distance(x, y):
     Evaluated through the eigenvalues of the symmetric matrix
     x^{-1/2} y x^{-1/2} so all spectral work stays symmetric.
     """
-    x = require_spd(x)
-    y = as_sym(y)
     _, xis = spd_sqrt_pair(x)
-    inner = as_sym(xis @ y @ xis)
-    eig = sym_eigen(inner)
-    _check_spd_spectrum(eig.lam)
+    y = as_sym(y)
+    eig = _spd_eigen(as_sym(xis @ y @ xis))
     return float(math.sqrt(np.sum(np.log(eig.lam) ** 2)))
 
 
@@ -140,10 +145,9 @@ def riemannian_angle(vertex, p, q):
     log(v^{-1/2} p v^{-1/2}) and log(v^{-1/2} q v^{-1/2}); returned in
     [0, pi].
     """
-    vertex = require_spd(vertex)
+    _, vis = spd_sqrt_pair(vertex)
     p = as_sym(p)
     q = as_sym(q)
-    _, vis = spd_sqrt_pair(vertex)
     a = spd_log(as_sym(vis @ p @ vis))
     b = spd_log(as_sym(vis @ q @ vis))
     na = frobenius(a)
@@ -161,9 +165,6 @@ def al_kashi_slack(a, b, c):
     their vertices.  Non-positive curvature makes the slack non-negative for
     every non-degenerate triangle.
     """
-    a = require_spd(a)
-    b = require_spd(b)
-    c = require_spd(c)
     side_c = distance(a, b)
     side_b = distance(a, c)
     side_a = distance(b, c)

@@ -4,6 +4,12 @@ All heavy lifting on symmetric matrices goes through a single cyclic Jacobi
 eigensolver, which is deterministic and accurate to machine precision for
 dense symmetric input.  Analytic functions (exp, log, sqrt, powers) are
 evaluated through the spectrum, so the results are symmetric by construction.
+
+Positive definiteness is checked on the spectrum a function needs anyway.
+The one checked helper, ``_spd_eigen``, symmetrizes its input, decomposes it
+once and applies the rule lam_min > 1e-12 * max(1, lam_max); ``require_spd``
+and the ``spd_*`` functions are built on it.  Callers that need x^{1/2} or
+x^{-1/2} take them from that decomposition instead of validating x first.
 """
 
 import math
@@ -212,6 +218,17 @@ def _check_spd_spectrum(lam, what="matrix"):
         )
 
 
+def _spd_eigen(x):
+    """Eigendecomposition of a positive-definite matrix, checked on the way.
+
+    Symmetrizes x, decomposes it once and raises DomainError unless
+    lam_min > 1e-12 * max(1, lam_max).
+    """
+    eig = sym_eigen(x)
+    _check_spd_spectrum(eig.lam)
+    return eig
+
+
 def is_spd(x):
     """True if the symmetrized input passes the positive-definiteness check."""
     try:
@@ -227,61 +244,54 @@ def require_spd(x):
     A matrix passes when lam_min > 1e-12 * max(1, lam_max).
     """
     x = as_sym(x)
-    eig = sym_eigen(x)
-    _check_spd_spectrum(eig.lam)
+    _spd_eigen(x)
     return x
 
 
 def spd_exp(a):
     """Matrix exponential of a symmetric matrix; always positive definite."""
     eig = sym_eigen(a)
-    return _rebuild(eig, _map_spectrum(eig, math.exp))
+    with np.errstate(over="ignore"):
+        values = np.exp(eig.lam)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(
+            f"matrix exponential overflows at eigenvalue {eig.lam[0]:.6e}"
+        )
+    return _rebuild(eig, values)
 
 
 def spd_log(x):
     """Matrix logarithm of a positive-definite matrix (inverse of spd_exp)."""
-    x = as_sym(x)
-    eig = sym_eigen(x)
-    _check_spd_spectrum(eig.lam)
+    eig = _spd_eigen(x)
     return _rebuild(eig, np.log(eig.lam))
 
 
 def spd_sqrt(x):
     """Positive-definite square root."""
-    x = as_sym(x)
-    eig = sym_eigen(x)
-    _check_spd_spectrum(eig.lam)
+    eig = _spd_eigen(x)
     return _rebuild(eig, np.sqrt(eig.lam))
 
 
 def spd_inv_sqrt(x):
     """Inverse of the positive-definite square root."""
-    x = as_sym(x)
-    eig = sym_eigen(x)
-    _check_spd_spectrum(eig.lam)
+    eig = _spd_eigen(x)
     return _rebuild(eig, 1.0 / np.sqrt(eig.lam))
 
 
 def spd_sqrt_pair(x):
     """(x^{1/2}, x^{-1/2}) from a single eigendecomposition."""
-    x = as_sym(x)
-    eig = sym_eigen(x)
-    _check_spd_spectrum(eig.lam)
+    eig = _spd_eigen(x)
     root = np.sqrt(eig.lam)
     return _rebuild(eig, root), _rebuild(eig, 1.0 / root)
 
 
 def spd_inv(x):
     """Inverse of a positive-definite matrix through its spectrum."""
-    x = as_sym(x)
-    eig = sym_eigen(x)
-    _check_spd_spectrum(eig.lam)
+    eig = _spd_eigen(x)
     return _rebuild(eig, 1.0 / eig.lam)
 
 
 def spd_pow(x, t):
     """Real matrix power x^t of a positive-definite matrix."""
-    x = as_sym(x)
-    eig = sym_eigen(x)
-    _check_spd_spectrum(eig.lam)
+    eig = _spd_eigen(x)
     return _rebuild(eig, np.exp(t * np.log(eig.lam)))

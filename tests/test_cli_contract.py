@@ -8,6 +8,10 @@ document (strict JSON: no NaN or Infinity), one report per entry, every exit
 code is in {0, 2, 3, 4}, and the process exits with the first non-zero entry
 code.
 
+The same holds for argv: a drawn command line (positionals and ``--flags``
+from the table, some missing, some junk, some unknown) prints exactly one
+strict-JSON report and exits with a code in {0, 2, 3, 4}.
+
 Matrices and lts dimensions stay at n <= 4 to keep the examples fast; the
 large case, `spd lts diag --n 64`, is a test of its own in test_cli.py.
 """
@@ -106,3 +110,55 @@ def test_batch_report_contract(manifest, capsys, tmp_path):
     assert [rep["command"] for rep in reports] == [e["command"] for e in manifest]
     assert code == next((c for c in codes if c != 0), 0)
 
+
+
+# Argv words: every value above, as the string a shell would pass.
+WORDS = st.one_of(
+    st.sampled_from(MATRICES + SPECS),
+    st.sampled_from([str(v) for values in OPTIONS.values() for v in values]),
+    st.sampled_from(["abc", "", "-1", "--", "--bogus", "1e400", "nan"]),
+    st.integers(-2, 4).map(str),
+)
+
+
+def _word(cmd, key):
+    """Mostly a value that fits the argument, sometimes any word."""
+    if key in cmd.matrices:
+        fitting = st.sampled_from(MATRICES)
+    elif key == cmd.subspace:
+        fitting = st.sampled_from(SPECS)
+    else:
+        fitting = st.sampled_from([str(v) for v in OPTIONS[cmd.options[key].type]])
+    return st.sampled_from([fitting, fitting, fitting, WORDS]).flatmap(lambda v: v)
+
+
+@st.composite
+def argvs(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    cmd = COMMANDS[name]
+    argv = [name]
+    for key in [*cmd.matrices, *([cmd.subspace] if cmd.subspace else [])]:
+        if draw(st.sampled_from([True, True, True, False])):
+            argv.append(draw(_word(cmd, key)))
+    for key, opt in cmd.options.items():
+        if draw(st.sampled_from([True, False])):
+            argv.append("--" + key.replace("_", "-"))
+            if opt.type is not bool:
+                argv.append(draw(_word(cmd, key)))
+    if draw(st.sampled_from([False, False, False, True])):
+        argv.insert(draw(st.integers(1, len(argv))), draw(WORDS))
+    return argv
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=argvs())
+def test_argv_report_contract(argv, capsys):
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out, parse_constant=reject_json_constant)
+    assert isinstance(report, dict)
+    assert code in CONTRACT_CODES
+    assert report["exit_code"] == code

@@ -6,6 +6,7 @@ Schur based, unlike the spectral evaluation under test).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,12 @@ class TestExpLog:
             x = random_spd(rng, int(rng.integers(2, 7)), cond=1e3)
             back = spd_exp(spd_log(x))
             assert frobenius(back - x) <= 1e-9 * frobenius(x)
+
+    def test_exp_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"overflows at eigenvalue 1\.0+e\+03"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                spd_exp(np.diag([1000.0, 0.0]))
 
     def test_exp_output_is_spd(self):
         rng = np.random.default_rng(5)

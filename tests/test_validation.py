@@ -1,0 +1,211 @@
+"""Input validation folded into the spectral work.
+
+Each public operation checks a positive-definite input through the
+eigendecomposition it needs anyway (``matfun._spd_eigen``) instead of
+decomposing it once more just to validate it.  These tests pin both sides
+of that: every folded check still rejects a non-positive-definite, a
+non-finite and a non-square input with the same message as a stand-alone
+``require_spd``, and each operation runs the stated number of
+eigendecompositions, counted at the one solver ``sym_eigen``.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from spdgeom import (
+    DomainError,
+    GeodesicSegment,
+    TangentVector,
+    ada_decompose,
+    al_kashi_slack,
+    block_diag_subspace,
+    dad_decompose,
+    diag_projection_compare,
+    diag_subspace,
+    distance,
+    geodesic,
+    geodesic_project,
+    mostow_gl,
+    mostow_spd,
+    riem_exp,
+    riem_log,
+    riemannian_angle,
+    translate_convex_submanifold,
+)
+import spdgeom.decompose as decompose
+import spdgeom.matfun as matfun
+
+I2 = np.eye(2)
+A = np.diag([2.0, 1.0])
+B = np.diag([1.0, 3.0])
+
+# Bad inputs and the message require_spd gives for each.  The good partners
+# below are I, diag(2, 1) and diag(1, 3): with the identity as base point the
+# inner matrix x^{-1/2} y x^{-1/2} is y itself, so a check on it reads the
+# same as a check on y.
+BAD = {
+    "negative": (
+        -np.eye(2),
+        "matrix is not positive definite: smallest eigenvalue -1.000000e+00 "
+        "below threshold 1e-12 * max(1, -1.000000e+00)",
+    ),
+    "nan": (
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        "matrix contains non-finite entries",
+    ),
+    "non_square": (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+}
+
+DIAG2 = diag_subspace(2)
+
+# (name, call with the bad matrix in one argument position)
+CALLS = [
+    ("distance x", lambda m: distance(m, A)),
+    ("distance y", lambda m: distance(I2, m)),
+    ("geodesic tuple x", lambda m: geodesic((m, A), 0.3)),
+    ("geodesic tuple y", lambda m: geodesic((I2, m), 0.3)),
+    ("geodesic segment x", lambda m: geodesic(GeodesicSegment(m, A), 0.3)),
+    ("geodesic segment y", lambda m: geodesic(GeodesicSegment(I2, m), 0.3)),
+    ("riem_log x", lambda m: riem_log(m, A)),
+    ("riem_log y", lambda m: riem_log(I2, m)),
+    ("riem_exp x", lambda m: riem_exp(m, TangentVector(I2, B))),
+    ("riemannian_angle vertex", lambda m: riemannian_angle(m, A, B)),
+    ("riemannian_angle p", lambda m: riemannian_angle(I2, m, B)),
+    ("riemannian_angle q", lambda m: riemannian_angle(I2, A, m)),
+    ("al_kashi_slack a", lambda m: al_kashi_slack(m, A, B)),
+    ("al_kashi_slack b", lambda m: al_kashi_slack(I2, m, B)),
+    ("al_kashi_slack c", lambda m: al_kashi_slack(I2, A, m)),
+    ("geodesic_project", lambda m: geodesic_project(m, DIAG2)),
+    ("geodesic_project x, initial=", lambda m: geodesic_project(m, DIAG2, initial=A)),
+    ("geodesic_project initial", lambda m: geodesic_project(A, DIAG2, initial=m)),
+    ("mostow_spd", lambda m: mostow_spd(m, DIAG2)),
+    ("mostow_gl", lambda m: mostow_gl(m, DIAG2)),
+    # The translated submanifold stores its base undecomposed: the check of the
+    # base is the only one it runs.
+    ("translate_convex_submanifold", lambda m: translate_convex_submanifold(m, DIAG2)),
+    ("dad_decompose", lambda m: dad_decompose(m, (1, 1))),
+    ("ada_decompose", lambda m: ada_decompose(m, (1, 1))),
+    ("diag_projection_compare", lambda m: diag_projection_compare(m)),
+]
+
+
+def _cases():
+    for name, call in CALLS:
+        for kind, (matrix, message) in BAD.items():
+            if name == "mostow_gl" and kind == "negative":
+                continue  # -I is invertible: g^T g = I is a valid input
+            yield pytest.param(call, matrix, message, id=f"{name}-{kind}")
+
+
+@pytest.mark.parametrize("call, matrix, message", _cases())
+def test_folded_check_keeps_its_message(call, matrix, message):
+    with pytest.raises(DomainError) as info:
+        call(matrix)
+    assert str(info.value) == message
+
+
+def test_ill_conditioned_iterate_is_named_in_the_message():
+    # x is positive definite, but at the start y = exp(P_E(log x)) the matrix
+    # y^{-1/2} x y^{-1/2} has condition ~3e12, past the 1e-12 floor.
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    x = rot @ np.diag([1.0, 1e8]) @ rot.T
+    with pytest.raises(DomainError) as info:
+        geodesic_project(x, diag_subspace(2))
+    message = str(info.value)
+    assert message.startswith("y^-1/2 x y^-1/2 at the projection iterate y")
+    assert "(condition 3." in message and "e+12)" in message
+
+
+# ---------------------------------------------------------------------------
+# Eigendecomposition counts
+
+
+@pytest.fixture
+def eig_count(monkeypatch):
+    """Count sym_eigen calls, rebinding the solver in every spdgeom module
+    that holds it (``from .matfun import sym_eigen`` makes a binding per
+    module)."""
+    original = matfun.sym_eigen
+    calls = []
+
+    def counted(a):
+        calls.append(1)
+        return original(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "spdgeom" or name.startswith("spdgeom."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    def count(fn, *args, **kwargs):
+        calls.clear()
+        result = fn(*args, **kwargs)
+        return len(calls), result
+
+    count.calls = calls
+    return count
+
+
+X = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+Y = np.array([[2.0, -0.3, 0.1], [-0.3, 1.5, 0.4], [0.1, 0.4, 3.0]])
+Z = np.array([[1.0, 0.2, 0.0], [0.2, 2.5, -0.6], [0.0, -0.6, 1.8]])
+
+
+@pytest.mark.parametrize(
+    "fn, args, expected",
+    [
+        pytest.param(distance, (X, Y), 2, id="distance"),
+        pytest.param(geodesic, ((X, Y), 0.3), 3, id="geodesic-tuple"),
+        pytest.param(riem_log, (X, Y), 2, id="riem_log"),
+        pytest.param(riemannian_angle, (X, Y, Z), 3, id="riemannian_angle"),
+        pytest.param(al_kashi_slack, (X, Y, Z), 9, id="al_kashi_slack"),
+    ],
+)
+def test_eigendecompositions_per_op(eig_count, fn, args, expected):
+    assert eig_count(fn, *args)[0] == expected
+
+
+def test_riem_exp_takes_two(eig_count):
+    v = riem_log(X, Y)
+    assert eig_count(riem_exp, X, v)[0] == 2
+
+
+@pytest.mark.parametrize("sub", [diag_subspace(3), block_diag_subspace([1, 2])])
+def test_projection_decomposes_x_once(eig_count, sub):
+    # One decomposition of x at the start (its logarithm, which checks x),
+    # then two per evaluated iterate and two per move.
+    eigs, proj = eig_count(geodesic_project, X, sub)
+    assert proj.iterations >= 1
+    assert eigs == 3 + 4 * proj.iterations
+    # A given start is decomposed for its logarithm, and x once on its own.
+    eigs, proj = eig_count(geodesic_project, X, sub, initial=Y)
+    assert eigs == 4 + 4 * proj.iterations
+
+
+def test_mostow_spd_adds_nothing_after_the_projection(eig_count, monkeypatch):
+    sub = diag_subspace(3)
+    alone, _ = eig_count(geodesic_project, X, sub)
+    project = decompose.geodesic_project
+    seen = []
+
+    def recorded(*args, **kwargs):
+        result = project(*args, **kwargs)
+        seen.append(len(eig_count.calls))
+        return result
+
+    monkeypatch.setattr(decompose, "geodesic_project", recorded)
+    eigs, _ = eig_count(mostow_spd, X, sub)
+    assert seen == [alone]
+    assert eigs == alone
+
+
+def test_mostow_gl_decomposes_the_middle_factor_once(eig_count):
+    g = np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 1.0], [0.0, -1.0, 2.0]])
+    sub = diag_subspace(3)
+    projection, _ = eig_count(geodesic_project, g.T @ g, sub)
+    # The singularity check of g^T g, the projection, and f^{1/2} with f^{-1/2}.
+    assert eig_count(mostow_gl, g, sub)[0] == projection + 2
