@@ -11,8 +11,12 @@ which this module solves by damped Riemannian Newton on exp(E) (Absil,
 Mahony and Sepulchre, 2008, ch. 6), keeping the iterate as y = exp(w) with
 w in E.  In the chart v -> y^{1/2} exp(v) y^{1/2}, v in E, the gradient of
 d^2(., x)/2 is -P_E(u), u = log(y^{-1/2} x y^{-1/2}), and its Hessian is
-phi(ad u) on E with phi(t) = (t/2) coth(t/2).  The converged residual
-|P_E(u)| doubles as the correctness certificate.
+phi(ad u) on E with phi(t) = (t/2) coth(t/2).  A chart step v moves w by
+tau_w^{-1}(v), tau_w = sinh(ad(w/2)) / ad(w/2), which maps E to itself: the
+retraction v -> exp(w + tau_w^{-1}(v)) agrees with the chart to first order,
+enough for Newton's local quadratic convergence (ibid., sec. 4.1, thm 6.3.2),
+and w stays in E by construction.  The converged residual |P_E(u)| doubles
+as the correctness certificate.
 
 The projection yields the two-sided factorization x = e f e with
 e = pi(x)^{1/2} in exp(E) and f in exp(E^perp), and the global factorization
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dexp import _kernel_u_coth_half
+from .dexp import _kernel_sinh_ratio, _kernel_u_coth_half
 from .errors import ConvergenceError, DomainError
 from .matfun import (
     EigenDecomposition,
@@ -123,8 +127,10 @@ class _Iterate:
     """y = exp(w), w in E, with the gradient and Hessian data of d^2(., x)/2."""
 
     def __init__(self, x, e_sub, w):
+        self.w = w
+        self.basis = e_sub.basis
         self.eig_w = sym_eigen(w)
-        self.y_half, y_inv_half = _half_powers(self.eig_w)
+        y_inv_half = _rebuild(self.eig_w, np.exp(-self.eig_w.lam / 2.0))
         eig_z = sym_eigen(as_sym(y_inv_half @ x @ y_inv_half))
         lam = eig_z.lam
         cond = lam[0] / lam[-1] if lam[-1] > 0 else math.inf
@@ -143,15 +149,30 @@ class _Iterate:
         phi = 0.5 * _kernel_u_coth_half(self.mu[:, None] - self.mu[None, :])
         return (self.basis_q * phi.ravel()) @ self.basis_q.T
 
+    def chart_jacobian(self):
+        """J_ij = <B_i, tau_w(B_j)>, tau_w = sinh(ad(w/2)) / ad(w/2).
+
+        y^{-1/2} d_w exp(B_j) y^{-1/2} = tau_w(B_j), so J maps a move of w to
+        the chart coordinates of the move of y.  J is symmetric with
+        eigenvalues sinh(t)/t >= 1.
+        """
+        q, lam = self.eig_w.q, self.eig_w.lam
+        basis_w = (q.T @ self.basis @ q).reshape(len(self.basis), -1)
+        kernel = _kernel_sinh_ratio(lam[:, None] - lam[None, :])
+        return (basis_w * kernel.ravel()) @ basis_w.T
+
 
 def _advance(x, e_sub, cur, step):
     """One step from ``cur``: (next iterate, whether it is the Newton trial)."""
+    jacobian = cur.chart_jacobian()
 
-    def move(coeffs):
-        v = np.tensordot(coeffs, e_sub.basis, axes=1)
-        m = as_sym(cur.y_half @ spd_exp(v) @ cur.y_half)
-        # Projecting onto E keeps the iterate on exp(E) to rounding.
-        return _Iterate(x, e_sub, project_trace(e_sub, spd_log(m)))
+    def move(v):
+        # The chart step v moves w by J^{-1} v: exp(w + J^{-1} v) matches
+        # y^{1/2} exp(v) y^{1/2} to first order, which keeps Newton quadratic,
+        # and w stays a combination of E's basis.
+        delta = np.linalg.solve(jacobian, v)
+        w = cur.w + np.tensordot(delta, e_sub.basis, axes=1)
+        return _Iterate(x, e_sub, w)
 
     try:
         trial = move(np.linalg.solve(cur.hessian(), cur.grad))
@@ -179,7 +200,7 @@ def geodesic_project(
 ):
     """Closest point of exp(E) to x in the geodesic distance, by damped
     Newton: one eigendecomposition of x at the start (its logarithm, which
-    also checks x), then four per step, eight with the fallback.
+    also checks x), then two per step, four with the fallback.
     ``mostow_spd`` adds none after the projection.
 
     Parameters

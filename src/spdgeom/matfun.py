@@ -82,7 +82,8 @@ def _jacobi_rounds(n):
     Rotations with disjoint index pairs leave each other's rows, columns and
     pivots untouched, so applying a whole round as a single orthogonal
     similarity reproduces the sequential result exactly while doing the work
-    in a few dense matrix products.
+    in a few dense matrix products.  A round is given by the flat indices of
+    its entries (p, r), (p, p), (r, r) and (r, p), p < r, in an n x n array.
     """
     cached = _ROUND_CACHE.get(n)
     if cached is not None:
@@ -97,12 +98,9 @@ def _jacobi_rounds(n):
             a, b = players[i], players[m - 1 - i]
             if a != bye and b != bye:
                 pairs.append((min(a, b), max(a, b)))
-        rounds.append(
-            (
-                np.array([p for p, _ in pairs], dtype=int),
-                np.array([r for _, r in pairs], dtype=int),
-            )
-        )
+        p = np.array([a for a, _ in pairs], dtype=int)
+        r = np.array([b for _, b in pairs], dtype=int)
+        rounds.append((p * n + r, p * (n + 1), r * (n + 1), r * n + p))
         players = [players[0], players[-1]] + players[1:-1]
     _ROUND_CACHE[n] = rounds
     return rounds
@@ -130,7 +128,8 @@ def sym_eigen(a):
     a = as_sym(a)
     n = a.shape[0]
     work = a.copy()
-    q = np.eye(n)
+    eye = np.eye(n)
+    q = eye
     target = _JACOBI_TOL * frobenius(a)
     # Rotations whose pivot is below this cannot push the off-norm over the
     # target, so they are skipped.
@@ -146,26 +145,31 @@ def sym_eigen(a):
                 residual=off,
                 iterations=sweeps,
             )
-        for pp, rr in _jacobi_rounds(n):
-            pivots = work[pp, rr]
+        for pr, pp, rr, rp in _jacobi_rounds(n):
+            flat = work.ravel()
+            pivots = flat[pr]
             live = np.abs(pivots) > skip
-            if not np.any(live):
+            if not live.any():
                 continue
-            p = pp[live]
-            r = rr[live]
-            apr = pivots[live]
-            theta = (work[r, r] - work[p, p]) / (2.0 * apr)
+            if not live.all():
+                pr, pp, rr, rp = pr[live], pp[live], rr[live], rp[live]
+                pivots = pivots[live]
+            theta = (flat[rr] - flat[pp]) / (2.0 * pivots)
             t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
-            rot = np.eye(n)
-            rot[p, p] = c
-            rot[r, r] = c
-            rot[p, r] = s
-            rot[r, p] = -s
+            # rot and the product below are fresh C-contiguous arrays, so
+            # ravel() returns views that the flat-index writes go through.
+            rot = eye.copy()
+            rot_flat = rot.ravel()
+            rot_flat[pp] = c
+            rot_flat[rr] = c
+            rot_flat[pr] = s
+            rot_flat[rp] = -s
             work = rot.T @ work @ rot
-            work[p, r] = 0.0
-            work[r, p] = 0.0
+            flat = work.ravel()
+            flat[pr] = 0.0
+            flat[rp] = 0.0
             q = q @ rot
         work = (work + work.T) / 2.0
         sweeps += 1
@@ -190,10 +194,12 @@ def _map_spectrum(eig, phi):
             v = float(phi(lam))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(
-                f"scalar function undefined at eigenvalue {lam!r}: {exc}"
+                f"scalar function undefined at eigenvalue {float(lam):.6e}: {exc}"
             ) from exc
         if not math.isfinite(v):
-            raise DomainError(f"scalar function is not finite at eigenvalue {lam!r}")
+            raise DomainError(
+                f"scalar function is not finite at eigenvalue {float(lam):.6e}"
+            )
         values[i] = v
     return values
 

@@ -1,8 +1,10 @@
-"""Shared random-matrix generators for the test suite."""
+"""Shared random-matrix generators and fixtures for the test suite."""
 
 import math
+import sys
 
 import numpy as np
+import pytest
 
 
 def random_sym(rng, n, scale=1.0):
@@ -39,3 +41,32 @@ def random_invertible(rng, n, cond=100.0):
 def reject_json_constant(token):
     """``parse_constant`` for strict JSON: NaN and Infinity are errors."""
     raise ValueError(f"{token} is not JSON")
+
+
+@pytest.fixture
+def eig_count(monkeypatch):
+    """Count sym_eigen calls, rebinding the solver in every spdgeom module
+    that holds it (``from .matfun import sym_eigen`` makes a binding per
+    module)."""
+    import spdgeom.matfun as matfun
+
+    original = matfun.sym_eigen
+    calls = []
+
+    def counted(a):
+        calls.append(1)
+        return original(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "spdgeom" or name.startswith("spdgeom."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    def count(fn, *args, **kwargs):
+        calls.clear()
+        result = fn(*args, **kwargs)
+        return len(calls), result
+
+    count.calls = calls
+    return count

@@ -308,19 +308,46 @@ class TestNewtonProjection:
                 slope = (line(1e-5) - line(-1e-5)) / 2e-5
                 assert it.grad[i] == pytest.approx(-slope, abs=1e-6)
 
-    def test_iterate_stays_on_exp_e(self):
+    @pytest.mark.parametrize("e_sub", SMALL_SUBSPACES, ids=lambda e: f"n{e.n}k{e.dim}")
+    def test_chart_jacobian_matches_central_differences(self, e_sub):
+        # J_ij = <B_i, d/dt y^{-1/2} exp(w + t B_j) y^{-1/2} at t = 0>.
+        rng = np.random.default_rng(19)
+        n, k = e_sub.n, e_sub.dim
+        x = random_spd(rng, n, cond=100.0)
+        w = project_trace(e_sub, random_sym(rng, n, 2.0))
+        for base in (np.zeros((n, n)), w):
+            jac = _Iterate(x, e_sub, base).chart_jacobian()
+            y_inv_half = scipy.linalg.expm(-base / 2.0)
+            h = 1e-5
+            fd = np.empty((k, k))
+            for j, b in enumerate(e_sub.basis):
+                plus = scipy.linalg.expm(base + h * b)
+                minus = scipy.linalg.expm(base - h * b)
+                slope = y_inv_half @ (plus - minus) @ y_inv_half / (2.0 * h)
+                fd[:, j] = np.einsum("kab,ab->k", e_sub.basis, slope)
+            np.testing.assert_allclose(jac, fd, atol=1e-7 * max(1.0, np.abs(fd).max()))
+            np.testing.assert_allclose(jac, jac.T, rtol=0, atol=1e-14)
+            assert np.linalg.eigvalsh(jac).min() >= 1.0 - 1e-12
+        jac0 = _Iterate(x, e_sub, np.zeros((n, n))).chart_jacobian()
+        np.testing.assert_allclose(jac0, np.eye(k), atol=1e-14)
+
+    def test_iterate_stays_on_exp_e(self, eig_count):
         # The result is exp(w) with w in E: its log has no E-orthogonal part
         # beyond rounding, even after steps from a far start.  At c = 8 the
         # default tolerance lies below the noise floor (see geodesic_project),
         # so only the c <= 4 part runs here.
         worst = 0.0
+        eigs = []
         for c, x, e_sub, start in stress_inputs():
             if c > 4:
                 continue
-            res = geodesic_project(x, e_sub, initial=start)
+            count, res = eig_count(geodesic_project, x, e_sub, initial=start)
+            eigs.append(count)
             log_pi = spd_log(res.pi)
             worst = max(worst, frobenius(log_pi - project_trace(e_sub, log_pi)))
         assert worst <= 1e-11
+        # Two eigendecompositions per step (of w and of y^-1/2 x y^-1/2).
+        assert np.mean(eigs) <= 15
 
     def test_few_newton_iterations(self):
         rng = np.random.default_rng(18)

@@ -95,6 +95,19 @@ class TestSymEigen:
             assert frobenius(e.q.T @ e.q - np.eye(n)) <= 1e-10 * n
             assert np.all(np.diff(e.lam) <= 1e-12)
 
+    def test_rounds_with_skipped_pivots(self):
+        # Entries that are exactly zero, as in block-diagonal iterates, leave
+        # some rotations of a round below the skip threshold.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(3, 10))
+            a = random_sym(rng, n) * (rng.random((n, n)) < 0.4)
+            a = (a + a.T) / 2.0
+            e = sym_eigen(a)
+            rec = frobenius(e.q @ np.diag(e.lam) @ e.q.T - a)
+            assert rec <= 1e-12 * n * max(1.0, frobenius(a))
+            assert frobenius(e.q.T @ e.q - np.eye(n)) <= 1e-12 * n
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         a = random_sym(rng, 6)
@@ -158,6 +171,20 @@ class TestSymApply:
     def test_non_finite_value_rejected(self):
         with pytest.raises(DomainError):
             sym_apply(np.diag([1.0, 0.5]), lambda u: float("inf"))
+
+    def test_messages_show_the_eigenvalue_as_a_plain_number(self):
+        # The eigenvalue is a numpy scalar; its repr must not leak into the
+        # message ("np.float64(-2.0)" under numpy 2).
+        with pytest.raises(DomainError) as info:
+            sym_apply(np.diag([1.0, -2.0]), math.log)
+        assert str(info.value) == (
+            "scalar function undefined at eigenvalue -2.000000e+00: math domain error"
+        )
+        with pytest.raises(DomainError) as info:
+            sym_apply(np.diag([1.0, 0.5]), lambda u: float("inf"))
+        assert str(info.value) == (
+            "scalar function is not finite at eigenvalue 1.000000e+00"
+        )
 
 
 class TestExpLog:
