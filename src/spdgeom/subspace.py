@@ -9,10 +9,15 @@ geodesic submanifold:
     [X, [X, Y]] in E  for all X, Y in E           (double-bracket form)
 
 The two are equivalent by polarization; ``lts_check`` evaluates both and
-reports them side by side.  It never forms all k^3 basis triples at once:
-for a k-dimensional subspace of n x n matrices it needs O(k^2 n^2) memory
-and O(k^3 n^2 (n + k)) time, and brackets of basis pairs that vanish
-exactly (all of them for the diagonal subspace) cost next to nothing.
+reports them side by side.  It never forms all k^3 basis triples at once,
+and it carries each nested bracket only on the set Z of entries that a
+basis element or a nested bracket can reach: for a k-dimensional subspace
+of n x n matrices it needs O(k^2 n^2) memory for the brackets and the
+products of one basis element, O(k^2 |Z|) for everything kept per triple,
+and O(k^3 n^3 + k^4 |Z|) time.  For a dense basis Z is every entry; for the
+ready-made block subspaces it can be much smaller, and brackets of basis
+pairs that vanish exactly (all of them for the diagonal subspace) cost next
+to nothing.
 """
 
 import json
@@ -30,13 +35,15 @@ from .matfun import as_sym, frobenius, tr_inner
 _DROP_TOL = 1e-10
 
 
-@dataclass
+@dataclass(eq=False)
 class Subspace:
-    """Orthonormal basis of a linear subspace of symmetric n x n matrices."""
+    """Orthonormal basis of a linear subspace of symmetric n x n matrices.
+
+    Equality is identity: the generated ``__eq__`` would compare arrays."""
 
     n: int
     basis: np.ndarray  # shape (k, n, n)
-    _lts_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _lts_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self):
@@ -138,7 +145,7 @@ def orthogonal_complement(e):
     return Subspace(n=e.n, basis=stacked)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtsWitness:
     """A basis triple whose nested bracket leaves the subspace."""
 
@@ -149,7 +156,7 @@ class LtsWitness:
     off_component: np.ndarray  # part of [x, [y, z]] orthogonal to the subspace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtsReport:
     is_lts: bool
     max_residual: float
@@ -178,14 +185,41 @@ def _nonzero_brackets(b):
     return np.array(pairs, dtype=int).reshape(-1, 2), np.concatenate(brackets)
 
 
-def _off_sym(p, flat):
+def _reach(b, brackets):
+    """The entries outside which every basis element and every nested bracket
+    [B_i, [B_j, B_k]] is exactly zero, as flat indices together with the flat
+    indices of their transposes; None when that is every entry.
+
+    With U_B and U_C the unions of the supports of the basis and of the
+    brackets, the set is supp(U_B) | supp(U_C U_B) | supp(U_B U_C): outside
+    it every term of C B_i and B_i C is a product with a zero factor.  Both
+    unions are symmetric, so supp(U_B U_C) is the transpose of supp(U_C U_B).
+    """
+    n = b.shape[1]
+    u_c_b = brackets.any(axis=0).astype(float) @ b.any(axis=0).astype(float)
+    reach = b.any(axis=0) | (u_c_b > 0) | (u_c_b.T > 0)
+    if reach.all():
+        return None
+    z = np.flatnonzero(reach)
+    rows, cols = np.divmod(z, n)
+    return z, cols * n + rows
+
+
+def _off_sym(p, flat, at):
     """Parts of P + P^T orthogonal to the rows of ``flat``, for each P in the
-    stack ``p``; shape (len(p), n*n).
+    stack ``p``, on the entries ``at`` from ``_reach`` (all n*n when None);
+    shape (len(p), number of entries).  ``flat`` is the basis on those
+    entries.
 
     With X symmetric and S skew, (XS)^T = -SX, so [X, S] = XS + (XS)^T and
     [S, X] = SX + (SX)^T: each bracket takes one product.
     """
-    t = (p + p.transpose(0, 2, 1)).reshape(len(p), -1)
+    shape = (len(p), p.shape[1] ** 2)
+    if at is None:
+        t = (p + p.transpose(0, 2, 1)).reshape(shape)
+    else:
+        pf = p.reshape(shape)
+        t = np.take(pf, at[0], axis=1) + np.take(pf, at[1], axis=1)
     return t - (t @ flat.T) @ flat
 
 
@@ -202,9 +236,14 @@ def lts_check(e, tol=1e-9):
     The brackets [B_j, B_k] are formed once, except where B_j and B_k share
     no nonzero row.  Exactly zero brackets give exactly zero triples and are
     skipped; for the diagonal subspace that is all of them.  The triples of
-    the rest are taken one outer element B_i at a time, so a k-dimensional
-    subspace of n x n matrices costs O(k^2 n^2) memory and O(k^3 n^2 (n + k))
-    time, the k^4 n^2 part being the projections.
+    the rest are taken one outer element B_i at a time and carried only on
+    the set Z of entries that a basis element or a nested bracket can reach
+    (``_reach``); elsewhere they are exactly zero.  A k-dimensional subspace
+    of n x n matrices then costs O(k^2 n^2) memory for the brackets and the
+    products of one outer element and O(k^2 |Z|) for the rest, and
+    O(k^3 n^3 + k^4 |Z|) time, the k^4 |Z| part being the projections.  The
+    products C B_i run over the nonzero rows of B_i only.  For a dense basis
+    Z is every entry and the arrays are used whole, with no gather.
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
@@ -214,15 +253,23 @@ def lts_check(e, tol=1e-9):
 
     b = e.basis
     k, n = e.dim, e.n
-    flat = b.reshape(k, n * n)
     norms = np.sqrt(np.einsum("kab,kab->k", b, b))
     pairs, brackets = _nonzero_brackets(b)
     first, second = pairs[:, 0], pairs[:, 1]
+    at = _reach(b, brackets)
+    flat = b.reshape(k, n * n)
+    if at is not None:
+        flat = flat[:, at[0]]
+    rows = b.any(axis=2)
 
     max_residual, witness_at, double_max = 0.0, None, 0.0
     for i in range(k if len(pairs) else 0):
+        # C B_i over the nonzero rows r of B_i: sum_r C[:, r] B_i[r, :].
+        r = np.flatnonzero(rows[i])
+        cols = brackets if len(r) == n else brackets[:, :, r]
+        cols = cols.reshape(len(brackets) * n, len(r))
         # off[i, j, k] for the pairs; off[i, k, j] = -off[i, j, k].
-        off = -_off_sym((brackets.reshape(-1, n) @ b[i]).reshape(-1, n, n), flat)
+        off = -_off_sym((cols @ b[i][r]).reshape(-1, n, n), flat, at)
         rel = np.linalg.norm(off, axis=1) / np.maximum(
             1.0, norms[i] * norms[first] * norms[second]
         )
@@ -242,14 +289,17 @@ def lts_check(e, tol=1e-9):
         terms_a = np.concatenate([off[below_f], -off[below_s]])
         q = np.concatenate([second[first == i], first[second == i]])
         signed = np.concatenate([brackets[first == i], -brackets[second == i]])
-        lower = b[:i].reshape(-1, n)
-        terms_d = [_off_sym((lower @ c).reshape(i, n, n), flat) for c in signed]
+        # B_h C for every h < i and every bracket C in ``signed``, in one
+        # product, ordered bracket-major like ``keys_d``.  Both products are
+        # passed straight on, so each is freed before the next is formed.
+        terms_d = _off_sym(
+            np.matmul(b[None, :i], signed[:, None]).reshape(-1, n, n), flat, at
+        )
         keys_d = (q[:, None] + np.arange(i)[None, :] * k).ravel()
         keys, where = np.unique(np.concatenate([keys_a, keys_d]), return_inverse=True)
-        polar = np.zeros((len(keys), n * n))
+        polar = np.zeros((len(keys), flat.shape[1]))
         polar[where[: len(keys_a)]] += terms_a
-        if terms_d:
-            polar[where[len(keys_a) :]] += np.concatenate(terms_d)
+        polar[where[len(keys_a) :]] += terms_d
         h, qq = np.divmod(keys, k)
         polar_rel = np.linalg.norm(polar, axis=1) / np.maximum(
             1.0, norms[h] * norms[i] * norms[qq]
@@ -261,12 +311,14 @@ def lts_check(e, tol=1e-9):
     witness = None
     if not is_lts:
         i, t, off_t = witness_at
+        off_component = np.zeros(n * n)
+        off_component[slice(None) if at is None else at[0]] = off_t
         witness = LtsWitness(
             x=b[i].copy(),
             y=b[first[t]].copy(),
             z=b[second[t]].copy(),
             residual=max_residual,
-            off_component=off_t.reshape(n, n),
+            off_component=off_component.reshape(n, n),
         )
     report = LtsReport(
         is_lts=is_lts,
@@ -299,11 +351,20 @@ def multi_block_zero_diag_counterexample(num_blocks, block_size=1, tol=1e-9):
 # Ready-made subspaces
 
 
+def _zero_basis(k, n):
+    """A zero (k, n, n) basis to fill in.  Raises DomainError for a size numpy
+    cannot even describe (more bytes than a pointer can address), which it
+    would reject with a ValueError rather than a MemoryError."""
+    if k * n * n * 8 > np.iinfo(np.intp).max:
+        raise DomainError(f"a {k} x {n} x {n} basis is too large for memory")
+    return np.zeros((k, n, n))
+
+
 def diag_subspace(n):
     """All diagonal matrices."""
     if n < 1:
         raise DomainError("dimension must be at least 1")
-    basis = np.zeros((n, n, n))
+    basis = _zero_basis(n, n)
     for i in range(n):
         basis[i, i, i] = 1.0
     return Subspace(n=n, basis=basis)
@@ -313,21 +374,18 @@ def block_diag_subspace(sizes):
     """Symmetric matrices supported on the diagonal blocks of a partition."""
     sizes = _check_partition(sizes)
     n = sum(sizes)
-    basis = []
-    offset = 0
+    basis = _zero_basis(sum(s * (s + 1) // 2 for s in sizes), n)
     root_half = 1.0 / math.sqrt(2.0)
+    idx = offset = 0
     for s in sizes:
         for i in range(offset, offset + s):
-            m = np.zeros((n, n))
-            m[i, i] = 1.0
-            basis.append(m)
+            basis[idx, i, i] = 1.0
+            idx += 1
             for j in range(i + 1, offset + s):
-                m = np.zeros((n, n))
-                m[i, j] = root_half
-                m[j, i] = root_half
-                basis.append(m)
+                basis[idx, i, j] = basis[idx, j, i] = root_half
+                idx += 1
         offset += s
-    return Subspace(n=n, basis=np.stack(basis))
+    return Subspace(n=n, basis=basis)
 
 
 def block_antidiag_subspace(p, q):
@@ -335,7 +393,7 @@ def block_antidiag_subspace(p, q):
     if p < 1 or q < 1:
         raise DomainError("both blocks must be non-empty")
     n = p + q
-    basis = np.zeros((p * q, n, n))
+    basis = _zero_basis(p * q, n)
     root_half = 1.0 / math.sqrt(2.0)
     idx = 0
     for i in range(p):
@@ -350,22 +408,19 @@ def zero_diag_block_subspace(sizes):
     """Symmetric matrices whose diagonal blocks vanish, any number of blocks."""
     sizes = _check_partition(sizes)
     n = sum(sizes)
-    starts = np.cumsum([0] + list(sizes))
-    block_of = np.zeros(n, dtype=int)
-    for bi in range(len(sizes)):
-        block_of[starts[bi] : starts[bi + 1]] = bi
-    basis = []
+    k = (n * n - sum(s * s for s in sizes)) // 2
+    if k == 0:
+        raise DomainError("partition leaves no off-block entries")
+    basis = _zero_basis(k, n)
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
     root_half = 1.0 / math.sqrt(2.0)
+    idx = 0
     for i in range(n):
         for j in range(i + 1, n):
             if block_of[i] != block_of[j]:
-                m = np.zeros((n, n))
-                m[i, j] = root_half
-                m[j, i] = root_half
-                basis.append(m)
-    if not basis:
-        raise DomainError("partition leaves no off-block entries")
-    return Subspace(n=n, basis=np.stack(basis))
+                basis[idx, i, j] = basis[idx, j, i] = root_half
+                idx += 1
+    return Subspace(n=n, basis=basis)
 
 
 def sl2_traceless_diag_subspace():

@@ -217,6 +217,21 @@ class TestExitCodes:
         assert rep["error"]["type"] == "domain"
         assert "memory" in rep["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lts", "diag", "--n", "99999999999999999999"],
+            ["lts", "antiblock:3,99999999999", "--n", "100000000002"],
+        ],
+    )
+    def test_basis_beyond_numpy_gives_domain_report(self, capsys, argv):
+        # numpy refuses these shapes with ValueError, not MemoryError.
+        code = main(argv)
+        rep = json.loads(capsys.readouterr().out, parse_constant=reject_json_constant)
+        assert code == rep["exit_code"] == 3
+        assert rep["error"]["type"] == "domain"
+        assert "too large for memory" in rep["error"]["message"]
+
     def test_non_convergence_exit(self, capsys):
         code, rep = run_cli(
             capsys, "project", json.dumps(X33), "diag", "--max-iter", "1"
@@ -346,6 +361,18 @@ class TestBatch:
         assert [r["exit_code"] for r in reports] == [0, 3, 0]
         assert reports[1]["error"]["type"] == "domain"
         assert reports[2]["outputs"]["distance"] == pytest.approx(math.log(3.0), abs=1e-9)
+        assert code == 3
+
+    def test_basis_beyond_numpy_entry_beside_good_one(self, capsys, tmp_path):
+        huge = {"command": "lts", "subspace": "diag", "n": 99999999999999999999}
+        good = {"command": "dist", "a": "[[1,0],[0,1]]", "b": json.dumps(X22)}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([huge, good]))
+        code = main(["batch", str(path)])
+        reports = json.loads(capsys.readouterr().out, parse_constant=reject_json_constant)
+        assert [r["exit_code"] for r in reports] == [3, 0]
+        assert reports[0]["error"]["type"] == "domain"
+        assert reports[1]["outputs"]["distance"] == pytest.approx(math.log(3.0), abs=1e-9)
         assert code == 3
 
     def test_malformed_manifest(self, capsys, tmp_path):

@@ -60,7 +60,12 @@ def dense_lts_reference(e, tol=1e-9):
 
 def _equivalence_cases(rng, count):
     """Random generator sets, block-diagonal and antidiagonal LTS cases in a
-    random orthonormal frame, and sparse ready-made subspaces, at n <= 6."""
+    random orthonormal frame, and sparse ready-made subspaces, at n <= 6.
+
+    The sparse cases include a non-LTS subspace whose brackets reach only
+    part of the matrix: the zero-diagonal 3 x 3 subspace padded to 5 x 5,
+    whose nested brackets live in the leading 3 x 3 block.  The last case is
+    a dense basis whose last element, the identity, brackets with nothing."""
     for case in range(count):
         n = int(rng.integers(2, 7))
         if case % 3:
@@ -77,6 +82,9 @@ def _equivalence_cases(rng, count):
     yield block_antidiag_subspace(2, 3)
     yield zero_diag_block_subspace([1, 1, 1])
     yield zero_diag_block_subspace([2, 1, 2])
+    three_blocks = zero_diag_block_subspace([1, 1, 1]).basis
+    yield build_subspace([np.pad(g, (0, 2)) for g in three_blocks])
+    yield build_subspace([OFFDIAG, np.diag([1.0, -1.0]), np.eye(2)])
 
 
 def _orthonormal(sub):
@@ -109,6 +117,20 @@ class TestBuild:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DomainError):
             build_subspace([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: diag_subspace(10**20),
+            lambda: block_antidiag_subspace(3, 99999999999),
+            lambda: block_diag_subspace([99999999999]),
+            lambda: zero_diag_block_subspace([1, 99999999999]),
+        ],
+    )
+    def test_size_beyond_numpy_rejected(self, make):
+        # numpy itself would raise ValueError, not MemoryError, for these.
+        with pytest.raises(DomainError, match="too large for memory"):
+            make()
 
     def test_non_finite_basis_rejected(self):
         with pytest.raises(DomainError):
@@ -277,8 +299,30 @@ class TestLtsCheck:
         assert report.double_bracket_residual == 0.0
         assert peak < 256 * 2**20
 
+    def test_antiblock_1_23_stays_on_reachable_entries(self):
+        # The nested brackets of this 23-dimensional subspace reach only the
+        # first row and column; carried over all 576 entries the check peaked
+        # at 13.1 MiB.
+        sub = block_antidiag_subspace(1, 23)
+        tracemalloc.start()
+        try:
+            report = lts_check(sub)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.is_lts and report.double_bracket_is_lts
+        assert peak < 8 * 2**20
+
     def test_sl2_subspace_is_lts(self):
         assert lts_check(sl2_traceless_diag_subspace()).is_lts
+
+    def test_reports_and_subspaces_compare_by_identity(self):
+        sub = diag_subspace(3)
+        assert sub == sub and sub != diag_subspace(3)
+        report = multi_block_zero_diag_counterexample(3)
+        assert report == report and report != multi_block_zero_diag_counterexample(3)
+        assert report.witness == report.witness
+        assert len({sub, report, report.witness}) == 3
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(DomainError):
