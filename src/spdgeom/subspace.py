@@ -188,7 +188,7 @@ def _nonzero_brackets(b):
 def _reach(b, brackets):
     """The entries outside which every basis element and every nested bracket
     [B_i, [B_j, B_k]] is exactly zero, as flat indices together with the flat
-    indices of their transposes; None when that is every entry.
+    indices of their transposes.  For a dense basis that is every entry.
 
     With U_B and U_C the unions of the supports of the basis and of the
     brackets, the set is supp(U_B) | supp(U_C U_B) | supp(U_B U_C): outside
@@ -198,8 +198,6 @@ def _reach(b, brackets):
     n = b.shape[1]
     u_c_b = brackets.any(axis=0).astype(float) @ b.any(axis=0).astype(float)
     reach = b.any(axis=0) | (u_c_b > 0) | (u_c_b.T > 0)
-    if reach.all():
-        return None
     z = np.flatnonzero(reach)
     rows, cols = np.divmod(z, n)
     return z, cols * n + rows
@@ -207,19 +205,15 @@ def _reach(b, brackets):
 
 def _off_sym(p, flat, at):
     """Parts of P + P^T orthogonal to the rows of ``flat``, for each P in the
-    stack ``p``, on the entries ``at`` from ``_reach`` (all n*n when None);
-    shape (len(p), number of entries).  ``flat`` is the basis on those
-    entries.
+    stack ``p``, on the entries ``at`` from ``_reach``; shape (len(p),
+    number of entries).  ``flat`` is the basis on those entries.
 
     With X symmetric and S skew, (XS)^T = -SX, so [X, S] = XS + (XS)^T and
     [S, X] = SX + (SX)^T: each bracket takes one product.
     """
-    shape = (len(p), p.shape[1] ** 2)
-    if at is None:
-        t = (p + p.transpose(0, 2, 1)).reshape(shape)
-    else:
-        pf = p.reshape(shape)
-        t = np.take(pf, at[0], axis=1) + np.take(pf, at[1], axis=1)
+    pf = p.reshape(len(p), -1)
+    t = np.take(pf, at[0], axis=1)
+    t += np.take(pf, at[1], axis=1)
     return t - (t @ flat.T) @ flat
 
 
@@ -243,7 +237,7 @@ def lts_check(e, tol=1e-9):
     products of one outer element and O(k^2 |Z|) for the rest, and
     O(k^3 n^3 + k^4 |Z|) time, the k^4 |Z| part being the projections.  The
     products C B_i run over the nonzero rows of B_i only.  For a dense basis
-    Z is every entry and the arrays are used whole, with no gather.
+    Z is every entry.
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
@@ -257,9 +251,7 @@ def lts_check(e, tol=1e-9):
     pairs, brackets = _nonzero_brackets(b)
     first, second = pairs[:, 0], pairs[:, 1]
     at = _reach(b, brackets)
-    flat = b.reshape(k, n * n)
-    if at is not None:
-        flat = flat[:, at[0]]
+    flat = b.reshape(k, n * n)[:, at[0]]
     rows = b.any(axis=2)
 
     max_residual, witness_at, double_max = 0.0, None, 0.0
@@ -289,17 +281,14 @@ def lts_check(e, tol=1e-9):
         terms_a = np.concatenate([off[below_f], -off[below_s]])
         q = np.concatenate([second[first == i], first[second == i]])
         signed = np.concatenate([brackets[first == i], -brackets[second == i]])
-        # B_h C for every h < i and every bracket C in ``signed``, in one
-        # product, ordered bracket-major like ``keys_d``.  Both products are
-        # passed straight on, so each is freed before the next is formed.
-        terms_d = _off_sym(
-            np.matmul(b[None, :i], signed[:, None]).reshape(-1, n, n), flat, at
-        )
+        lower = b[:i].reshape(-1, n)
+        terms_d = [_off_sym((lower @ c).reshape(i, n, n), flat, at) for c in signed]
         keys_d = (q[:, None] + np.arange(i)[None, :] * k).ravel()
         keys, where = np.unique(np.concatenate([keys_a, keys_d]), return_inverse=True)
         polar = np.zeros((len(keys), flat.shape[1]))
         polar[where[: len(keys_a)]] += terms_a
-        polar[where[len(keys_a) :]] += terms_d
+        if terms_d:
+            polar[where[len(keys_a) :]] += np.concatenate(terms_d)
         h, qq = np.divmod(keys, k)
         polar_rel = np.linalg.norm(polar, axis=1) / np.maximum(
             1.0, norms[h] * norms[i] * norms[qq]
@@ -312,7 +301,7 @@ def lts_check(e, tol=1e-9):
     if not is_lts:
         i, t, off_t = witness_at
         off_component = np.zeros(n * n)
-        off_component[slice(None) if at is None else at[0]] = off_t
+        off_component[at[0]] = off_t
         witness = LtsWitness(
             x=b[i].copy(),
             y=b[first[t]].copy(),
@@ -412,7 +401,10 @@ def zero_diag_block_subspace(sizes):
     if k == 0:
         raise DomainError("partition leaves no off-block entries")
     basis = _zero_basis(k, n)
-    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum([0] + list(sizes))
+    block_of = np.zeros(n, dtype=int)
+    for bi in range(len(sizes)):
+        block_of[starts[bi] : starts[bi + 1]] = bi
     root_half = 1.0 / math.sqrt(2.0)
     idx = 0
     for i in range(n):
