@@ -76,20 +76,39 @@ def off_block_part(m, partition):
     return np.where(partition.diag_block_mask(), 0.0, m)
 
 
-def _require_two_blocks(partition):
+def _two_block(partition, *mats):
+    """The partition, which must have two blocks, followed by the matrices
+    symmetrized, each of the partition's dimension."""
+    if not isinstance(partition, BlockPartition):
+        partition = BlockPartition(partition)
     if partition.num_blocks != 2:
         raise DomainError(
             "this factorization needs exactly two blocks; the zero-diagonal-"
             "block subspace is not bracket-closed for three or more"
         )
+    mats = [as_sym(m) for m in mats]
+    if any(m.shape[0] != partition.n for m in mats):
+        plural = "s" if len(mats) > 1 else ""
+        raise DomainError(f"partition does not match the matrix dimension{plural}")
+    return (partition, *mats)
 
 
-def _check_structure(m, residual, what):
+def _require_pattern(m, partition, diagonal, what):
+    """DomainError ``what`` unless m is block-diagonal (``diagonal``) or
+    block-anti-diagonal, up to the structural tolerance."""
+    outside = off_block_part if diagonal else block_diag_part
+    residual = frobenius(outside(m, partition))
     if residual > _STRUCT_TOL * max(1.0, frobenius(m)):
         raise DomainError(f"{what} (residual {residual:.3e})")
 
 
-@dataclass(frozen=True)
+def _cosh_sinh(a):
+    exp_a = spd_exp(a)
+    exp_neg_a = spd_exp(-a)
+    return (exp_a + exp_neg_a) / 2.0, (exp_a - exp_neg_a) / 2.0
+
+
+@dataclass(frozen=True, eq=False)
 class BlockSplit:
     """Additive split of a matrix into block-diagonal and block-anti-diagonal
     parts that sum back to the factored product."""
@@ -113,7 +132,7 @@ def correlation_normalize(cov):
     return corr, np.diag(variances)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagProjectionReport:
     """Entrywise diagonal versus geodesic projection onto diagonals."""
 
@@ -146,7 +165,7 @@ def diag_projection_compare(cov, **opts):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DadFactors:
     """Logarithmic factors of Sigma = exp(D) exp(A) exp(D)."""
 
@@ -154,12 +173,35 @@ class DadFactors:
     a: np.ndarray  # block-anti-diagonal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaFactors:
     """Logarithmic factors of Sigma = exp(A') exp(D') exp(A')."""
 
     a: np.ndarray  # block-anti-diagonal
     d: np.ndarray  # block-diagonal
+
+
+def _log_factors(sigma, partition, diagonal, opts):
+    """(log e, log f) of Sigma = e f e over the block-diagonal subspace
+    (``diagonal``) or the block-anti-diagonal one; log f must have left it."""
+    partition, sigma = _two_block(partition, sigma)
+    if diagonal:
+        e_sub = block_diag_subspace(partition.sizes)
+    else:
+        e_sub = block_antidiag_subspace(*partition.sizes)
+    factors = mostow_spd(sigma, e_sub, **opts)
+    log_e = spd_log(factors.e)
+    log_f = spd_log(factors.f)
+    inside = block_diag_part if diagonal else off_block_part
+    stray = frobenius(inside(log_f, partition))
+    if stray > 1e-9 * max(1.0, frobenius(log_f)):
+        kept = (
+            "anti-diagonal factor kept diagonal-block"
+            if diagonal
+            else "block-diagonal factor kept anti-diagonal"
+        )
+        raise ConvergenceError(f"{kept} content {stray:.3e}", residual=stray)
+    return log_e, log_f
 
 
 def dad_decompose(sigma, partition, **opts):
@@ -168,40 +210,13 @@ def dad_decompose(sigma, partition, **opts):
     D is half the logarithm of the projection onto block-diagonal matrices,
     A the logarithm of the anti-diagonal factor.
     """
-    partition = _as_partition(partition)
-    _require_two_blocks(partition)
-    sigma = as_sym(sigma)
-    if sigma.shape[0] != partition.n:
-        raise DomainError("partition does not match the matrix dimension")
-    factors = mostow_spd(sigma, block_diag_subspace(partition.sizes), **opts)
-    d = spd_log(factors.e)
-    a = spd_log(factors.f)
-    stray = frobenius(block_diag_part(a, partition))
-    if stray > 1e-9 * max(1.0, frobenius(a)):
-        raise ConvergenceError(
-            f"anti-diagonal factor kept diagonal-block content {stray:.3e}",
-            residual=stray,
-        )
+    d, a = _log_factors(sigma, partition, True, opts)
     return DadFactors(d=d, a=a)
 
 
 def ada_decompose(sigma, partition, **opts):
     """Factor Sigma = exp(A') exp(D') exp(A') for a two-block partition."""
-    partition = _as_partition(partition)
-    _require_two_blocks(partition)
-    sigma = as_sym(sigma)
-    if sigma.shape[0] != partition.n:
-        raise DomainError("partition does not match the matrix dimension")
-    p, q = partition.sizes
-    factors = mostow_spd(sigma, block_antidiag_subspace(p, q), **opts)
-    a = spd_log(factors.e)
-    d = spd_log(factors.f)
-    stray = frobenius(off_block_part(d, partition))
-    if stray > 1e-9 * max(1.0, frobenius(d)):
-        raise ConvergenceError(
-            f"block-diagonal factor kept anti-diagonal content {stray:.3e}",
-            residual=stray,
-        )
+    a, d = _log_factors(sigma, partition, False, opts)
     return AdaFactors(a=a, d=d)
 
 
@@ -213,33 +228,15 @@ def cosh_sinh_split(d, a, partition):
     with exp(D) preserves both patterns and the two parts sum back to the
     product.
     """
-    partition = _as_partition(partition)
-    _require_two_blocks(partition)
-    d = as_sym(d)
-    a = as_sym(a)
-    if d.shape[0] != partition.n or a.shape[0] != partition.n:
-        raise DomainError("partition does not match the matrix dimensions")
-    _check_structure(
-        d, frobenius(off_block_part(d, partition)), "first factor is not block-diagonal"
+    partition, d, a = _two_block(partition, d, a)
+    _require_pattern(d, partition, True, "first factor is not block-diagonal")
+    _require_pattern(a, partition, False, "second factor is not block-anti-diagonal")
+    cosh_a, sinh_a = _cosh_sinh(a)
+    _require_pattern(
+        cosh_a, partition, True, "cosh factor left the block-diagonal pattern"
     )
-    _check_structure(
-        a,
-        frobenius(block_diag_part(a, partition)),
-        "second factor is not block-anti-diagonal",
-    )
-    exp_a = spd_exp(a)
-    exp_neg_a = spd_exp(-a)
-    cosh_a = (exp_a + exp_neg_a) / 2.0
-    sinh_a = (exp_a - exp_neg_a) / 2.0
-    _check_structure(
-        cosh_a,
-        frobenius(off_block_part(cosh_a, partition)),
-        "cosh factor left the block-diagonal pattern",
-    )
-    _check_structure(
-        sinh_a,
-        frobenius(block_diag_part(sinh_a, partition)),
-        "sinh factor left the block-anti-diagonal pattern",
+    _require_pattern(
+        sinh_a, partition, False, "sinh factor left the block-anti-diagonal pattern"
     )
     exp_d = spd_exp(d)
     return BlockSplit(
@@ -255,44 +252,29 @@ def ada_sum_split(a_prime, d_prime, partition):
     part cosh A' exp D' cosh A' + sinh A' exp D' sinh A' and a
     block-anti-diagonal part sinh A' exp D' cosh A' + cosh A' exp D' sinh A'.
     """
-    partition = _as_partition(partition)
-    _require_two_blocks(partition)
-    a_prime = as_sym(a_prime)
-    d_prime = as_sym(d_prime)
-    if a_prime.shape[0] != partition.n or d_prime.shape[0] != partition.n:
-        raise DomainError("partition does not match the matrix dimensions")
-    _check_structure(
-        a_prime,
-        frobenius(block_diag_part(a_prime, partition)),
-        "first factor is not block-anti-diagonal",
+    partition, a_prime, d_prime = _two_block(partition, a_prime, d_prime)
+    _require_pattern(
+        a_prime, partition, False, "first factor is not block-anti-diagonal"
     )
-    _check_structure(
-        d_prime,
-        frobenius(off_block_part(d_prime, partition)),
-        "second factor is not block-diagonal",
-    )
-    exp_a = spd_exp(a_prime)
-    exp_neg_a = spd_exp(-a_prime)
-    cosh_a = (exp_a + exp_neg_a) / 2.0
-    sinh_a = (exp_a - exp_neg_a) / 2.0
+    _require_pattern(d_prime, partition, True, "second factor is not block-diagonal")
+    cosh_a, sinh_a = _cosh_sinh(a_prime)
     exp_d = spd_exp(d_prime)
     d_part = as_sym(cosh_a @ exp_d @ cosh_a + sinh_a @ exp_d @ sinh_a)
     a_part = cosh_a @ exp_d @ sinh_a + sinh_a @ exp_d @ cosh_a
     a_part = (a_part + a_part.T) / 2.0
-    _check_structure(
-        d_part,
-        frobenius(off_block_part(d_part, partition)),
-        "even cross terms left the block-diagonal pattern",
+    _require_pattern(
+        d_part, partition, True, "even cross terms left the block-diagonal pattern"
     )
-    _check_structure(
+    _require_pattern(
         a_part,
-        frobenius(block_diag_part(a_part, partition)),
+        partition,
+        False,
         "odd cross terms left the block-anti-diagonal pattern",
     )
     return BlockSplit(d_part=d_part, a_part=a_part)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sl2Factors:
     """Rotation / hyperbolic / dilation factors of a unimodular 2 x 2 matrix.
 
@@ -350,9 +332,3 @@ def sl2_reconstruct(factors):
     )
     e = np.diag([math.exp(factors.alpha), math.exp(-factors.alpha)])
     return factors.k @ f @ e
-
-
-def _as_partition(partition):
-    if isinstance(partition, BlockPartition):
-        return partition
-    return BlockPartition(partition)

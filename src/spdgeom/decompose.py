@@ -32,6 +32,7 @@ import numpy as np
 
 from .dexp import _kernel_sinh_ratio, _kernel_u_coth_half
 from .errors import ConvergenceError, DomainError
+from .manifold import _pull_back
 from .matfun import (
     EigenDecomposition,
     as_sym,
@@ -41,6 +42,7 @@ from .matfun import (
     spd_log,
     spd_sqrt_pair,
     sym_eigen,
+    _as_square,
     _check_spd_spectrum,
     _rebuild,
 )
@@ -51,7 +53,7 @@ _DEFAULT_MAX_ITER = 500
 _DEFAULT_STEP = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionResult:
     """Closest point of exp(E) with iteration diagnostics."""
 
@@ -60,12 +62,10 @@ class ProjectionResult:
     residual: float
     # pi = exp(w): the eigendecomposition of w gives the factorizations
     # pi^{+-1/2} without decomposing pi again.
-    _eig_w: EigenDecomposition = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _eig_w: EigenDecomposition = field(default=None, init=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MostowFactors:
     """Factorization x = e f e with e in exp(E) and f in exp(E^perp).
 
@@ -79,7 +79,7 @@ class MostowFactors:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlFactors:
     """Factorization g = k f e with k orthogonal, f in exp(E^perp),
     e in exp(E)."""
@@ -285,11 +285,7 @@ def mostow_gl(g, e_sub, **opts):
     root of the middle factor stays in exp(E^perp) because that subspace is
     closed under halving of logarithms.
     """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise DomainError("matrix contains non-finite entries")
+    g = _as_square(g)
     s = as_sym(g.T @ g)
     eig = sym_eigen(s)
     # Singular values of g are the square roots of these eigenvalues.
@@ -311,7 +307,7 @@ def mostow_gl(g, e_sub, **opts):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TranslatedSubmanifold:
     """The totally geodesic submanifold x^{1/2} exp(E) x^{1/2}.
 
@@ -325,7 +321,7 @@ class TranslatedSubmanifold:
     def membership_residual(self, y):
         """Norm of the E-orthogonal part of log(x^{-1/2} y x^{-1/2})."""
         _, xis = spd_sqrt_pair(self.base)
-        u = spd_log(as_sym(xis @ as_sym(y) @ xis))
+        u = spd_log(_pull_back(xis, y))
         return frobenius(u - project_trace(self.subspace, u))
 
     def contains(self, y, tol=1e-9):

@@ -5,7 +5,10 @@ evaluated spectrally: in an eigenbasis of X the eigenvalues of ad(X) are the
 differences lambda_i - lambda_j, so phi(ad(X)) acts by entrywise scaling with
 phi(lambda_i - lambda_j).  This is exact for any norm of X and needs no power
 series truncation, but it does require phi to carry its own limit value at
-removable singularities (all the built-in kernels below do).
+removable singularities (the built-in kernels take it from ``_continued``).
+Every operator takes one path: ``_in_eigenbasis`` checks X and Y and
+decomposes X, ``_scaled`` scales Q^T Y Q by phi of the eigenvalue differences
+and rotates back; a caller's phi is mapped by ``matfun._map_checked``.
 
 The central operator is ``tau_X = sinh(ad(X/2)) / ad(X/2)``, in terms of
 which
@@ -18,14 +21,14 @@ Frobenius norm; this is the distance-increasing property of the exponential
 map that makes the manifold complete.
 """
 
-import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .matfun import as_sym, frobenius, sym_eigen, _rebuild
+from .matfun import as_sym, sym_eigen, _map_checked, _rebuild, _sym_checked
 
 
 def ad(x, y):
@@ -33,13 +36,11 @@ def ad(x, y):
     x = as_sym(x)
     y = np.asarray(y, dtype=float)
     if y.shape != x.shape:
-        raise DomainError(
-            f"dimension mismatch: ad base is {x.shape}, argument is {y.shape}"
-        )
+        raise DomainError(f"dimension mismatch: {x.shape} against {y.shape}")
     return x @ y - y @ x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdFunctionOperator:
     """The linear operator phi(ad(X)) for a scalar function phi.
 
@@ -52,6 +53,23 @@ class AdFunctionOperator:
     phi: Callable[[float], float]
 
 
+def _in_eigenbasis(x, y):
+    """(eigendecomposition of X, Y) for symmetrized X and Y of one size."""
+    x = as_sym(x)
+    y = as_sym(y)
+    if y.shape != x.shape:
+        raise DomainError(f"dimension mismatch: {x.shape} against {y.shape}")
+    return sym_eigen(x), y
+
+
+def _scaled(eig, y, scale):
+    """phi(ad(X))(Y) for X = Q diag(lambda) Q^T: Q^T Y Q scaled entrywise by
+    scale(lambda_i - lambda_j), which maps the differences to phi values."""
+    diffs = eig.lam[:, None] - eig.lam[None, :]
+    m = eig.q.T @ y @ eig.q
+    return eig.q @ (scale(diffs) * m) @ eig.q.T
+
+
 def ad_function_apply(op, y):
     """Apply phi(ad(X)) to a symmetric matrix.
 
@@ -59,91 +77,54 @@ def ad_function_apply(op, y):
     phi(lambda_i - lambda_j).  The output is symmetric whenever phi is even;
     callers that rely on symmetry assert it themselves.
     """
-    eig = sym_eigen(op.base)
-    y = as_sym(y)
-    diffs = eig.lam[:, None] - eig.lam[None, :]
-    scale = np.empty_like(diffs)
-    for (i, j), u in np.ndenumerate(diffs):
-        try:
-            v = float(op.phi(float(u)))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(
-                f"ad-function undefined at eigenvalue difference {u!r}: {exc}"
-            ) from exc
-        if not math.isfinite(v):
-            raise DomainError(
-                f"ad-function is not finite at eigenvalue difference {u!r}"
-            )
-        scale[i, j] = v
-    m = eig.q.T @ y @ eig.q
-    return eig.q @ (scale * m) @ eig.q.T
+    eig, y = _in_eigenbasis(op.base, y)
+    at = "eigenvalue difference"
+    return _scaled(eig, y, lambda u: _map_checked(op.phi, u, "ad-function", at))
 
 
-def _scaled_in_eigenbasis(eig, y, kernel):
-    """Entrywise ad-function application with a vectorized kernel."""
-    diffs = eig.lam[:, None] - eig.lam[None, :]
-    m = eig.q.T @ y @ eig.q
-    return eig.q @ (kernel(diffs) * m) @ eig.q.T
-
-
-def _sym_checked(raw, what):
-    if frobenius(raw - raw.T) > 1e-10 * max(1.0, frobenius(raw)):
-        raise DomainError(f"{what} produced a non-symmetric result")
-    return (raw + raw.T) / 2.0
+def _continued(w, f, limit):
+    """f(w) entrywise, continued by its limit value where w = 0."""
+    safe = np.where(w == 0.0, 1.0, w)
+    return np.where(w == 0.0, limit, f(safe))
 
 
 def _kernel_sinh_ratio(u):
     """sinh(u/2) / (u/2), continued by 1 at u = 0."""
-    w = u / 2.0
-    safe = np.where(w == 0.0, 1.0, w)
-    return np.where(w == 0.0, 1.0, np.sinh(safe) / safe)
+    return _continued(u / 2.0, lambda w: np.sinh(w) / w, 1.0)
 
 
 def _kernel_inv_sinh_ratio(u):
     """(u/2) / sinh(u/2), continued by 1 at u = 0."""
-    w = u / 2.0
-    safe = np.where(w == 0.0, 1.0, w)
-    return np.where(w == 0.0, 1.0, safe / np.sinh(safe))
+    return _continued(u / 2.0, lambda w: w / np.sinh(w), 1.0)
 
 
 def _kernel_u_coth_half(u):
     """u * coth(u/2), continued by 2 at u = 0."""
-    t = np.tanh(u / 2.0)
-    safe = np.where(t == 0.0, 1.0, t)
-    return np.where(t == 0.0, 2.0, u / safe)
+    return _continued(np.tanh(u / 2.0), lambda t: u / t, 2.0)
 
 
 def _kernel_exp_ratio(u):
     """(1 - e^{-u}) / u, continued by 1 at u = 0."""
-    safe = np.where(u == 0.0, 1.0, u)
-    return np.where(u == 0.0, 1.0, -np.expm1(-safe) / safe)
+    return _continued(u, lambda v: -np.expm1(-v) / v, 1.0)
 
 
 def tau(x, y):
     """Apply tau_X = sinh(ad(X/2)) / ad(X/2) to a symmetric Y."""
-    x = as_sym(x)
-    y = as_sym(y)
-    eig = sym_eigen(x)
-    return _sym_checked(_scaled_in_eigenbasis(eig, y, _kernel_sinh_ratio), "tau")
+    return _sym_checked(_scaled(*_in_eigenbasis(x, y), _kernel_sinh_ratio), "tau")
 
 
 def tau_inv(x, y):
     """Apply the inverse operator ad(X/2) / sinh(ad(X/2))."""
-    x = as_sym(x)
-    y = as_sym(y)
-    eig = sym_eigen(x)
     return _sym_checked(
-        _scaled_in_eigenbasis(eig, y, _kernel_inv_sinh_ratio), "tau_inv"
+        _scaled(*_in_eigenbasis(x, y), _kernel_inv_sinh_ratio), "tau_inv"
     )
 
 
 def dexp_apply(x, y):
     """Differential of exp at X applied to Y: exp(X/2) tau_X(Y) exp(X/2)."""
-    x = as_sym(x)
-    y = as_sym(y)
-    eig = sym_eigen(x)
+    eig, y = _in_eigenbasis(x, y)
     half = _rebuild(eig, np.exp(eig.lam / 2.0))
-    t = _sym_checked(_scaled_in_eigenbasis(eig, y, _kernel_sinh_ratio), "tau")
+    t = _sym_checked(_scaled(eig, y, _kernel_sinh_ratio), "tau")
     return as_sym(half @ t @ half)
 
 
@@ -153,24 +134,18 @@ def dexp_apply_left(x, y):
     Equal to :func:`dexp_apply`; kept as an independent evaluation route for
     cross-checking.
     """
-    x = as_sym(x)
-    y = as_sym(y)
-    eig = sym_eigen(x)
+    eig, y = _in_eigenbasis(x, y)
     full = _rebuild(eig, np.exp(eig.lam))
-    inner = _scaled_in_eigenbasis(eig, y, _kernel_exp_ratio)
+    inner = _scaled(eig, y, _kernel_exp_ratio)
     return _sym_checked(full @ inner, "dexp_apply_left")
 
 
 def dexp_inv_apply(x, z):
     """Inverse differential: tau_X^{-1}(exp(-X/2) Z exp(-X/2))."""
-    x = as_sym(x)
-    z = as_sym(z)
-    eig = sym_eigen(x)
+    eig, z = _in_eigenbasis(x, z)
     half_inv = _rebuild(eig, np.exp(-eig.lam / 2.0))
     conj = as_sym(half_inv @ z @ half_inv)
-    return _sym_checked(
-        _scaled_in_eigenbasis(eig, conj, _kernel_inv_sinh_ratio), "dexp_inv_apply"
-    )
+    return _sym_checked(_scaled(eig, conj, _kernel_inv_sinh_ratio), "dexp_inv_apply")
 
 
 def conjugation_flow_field(x, y):
@@ -180,11 +155,8 @@ def conjugation_flow_field(x, y):
     only even powers of ad(X) occur, so the field is symmetric.  At X = 0 the
     kernel takes its limit value 2, giving W(0) = 2Y.
     """
-    x = as_sym(x)
-    y = as_sym(y)
-    eig = sym_eigen(x)
     return _sym_checked(
-        _scaled_in_eigenbasis(eig, y, _kernel_u_coth_half), "conjugation_flow_field"
+        _scaled(*_in_eigenbasis(x, y), _kernel_u_coth_half), "conjugation_flow_field"
     )
 
 
@@ -198,8 +170,8 @@ def integrate_conjugation_flow(x0, y, t, steps=100):
     """
     x0 = as_sym(x0)
     y = as_sym(y)
-    if steps < 1:
-        raise DomainError("steps must be at least 1")
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise DomainError("steps must be an integer >= 1")
     h = float(t) / steps
     cur = x0
     for _ in range(steps):

@@ -27,7 +27,9 @@ from .matfun import (
     spd_pow,
     spd_sqrt_pair,
     tr_inner,
+    _as_square,
     _spd_eigen,
+    _sym_checked,
 )
 
 # Two points closer than this are treated as coincident when an angle or a
@@ -35,7 +37,7 @@ from .matfun import (
 _DEGENERATE_DIST = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class TangentVector:
     """A tangent vector: a symmetric matrix attached to a base point."""
 
@@ -54,7 +56,7 @@ def _tangent(base, vec):
     return v
 
 
-@dataclass
+@dataclass(eq=False)
 class GeodesicSegment:
     """The unique geodesic through two points, parametrized so that
     t=0 gives ``x`` and t=1 gives ``y``."""
@@ -65,6 +67,14 @@ class GeodesicSegment:
     def __post_init__(self):
         self.x = require_spd(self.x)
         self.y = require_spd(self.y)
+
+
+def _pull_back(xis, y):
+    """x^{-1/2} y x^{-1/2} for y symmetrized and of x's size."""
+    y = as_sym(y)
+    if y.shape != xis.shape:
+        raise DomainError(f"dimension mismatch: {xis.shape} against {y.shape}")
+    return as_sym(xis @ y @ xis)
 
 
 def metric(x, u, v):
@@ -82,8 +92,7 @@ def geodesic(seg, t):
     xs, xis = spd_sqrt_pair(x)
     if not checked:
         y = require_spd(y)
-    inner = as_sym(xis @ y @ xis)
-    return as_sym(xs @ spd_pow(inner, t) @ xs)
+    return as_sym(xs @ spd_pow(_pull_back(xis, y), t) @ xs)
 
 
 def riem_log(x, y):
@@ -93,8 +102,7 @@ def riem_log(x, y):
     """
     x = as_sym(x)
     xs, xis = spd_sqrt_pair(x)
-    y = as_sym(y)
-    u = spd_log(as_sym(xis @ y @ xis))
+    u = spd_log(_pull_back(xis, y))
     return _tangent(x, as_sym(xs @ u @ xs))
 
 
@@ -104,9 +112,10 @@ def riem_exp(x, v):
     xs, xis = spd_sqrt_pair(x)
     if not isinstance(v, TangentVector):
         raise DomainError("riem_exp expects a TangentVector")
-    if frobenius(v.base - x) > 1e-9 * max(1.0, frobenius(x)):
+    off = frobenius(v.base - x) if v.base.shape == x.shape else math.inf
+    if off > 1e-9 * max(1.0, frobenius(x)):
         raise DomainError("tangent vector is not based at the given point")
-    return as_sym(xs @ spd_exp(as_sym(xis @ v.vec @ xis)) @ xs)
+    return as_sym(xs @ spd_exp(_pull_back(xis, v.vec)) @ xs)
 
 
 def distance(x, y):
@@ -116,17 +125,16 @@ def distance(x, y):
     x^{-1/2} y x^{-1/2} so all spectral work stays symmetric.
     """
     _, xis = spd_sqrt_pair(x)
-    y = as_sym(y)
-    eig = _spd_eigen(as_sym(xis @ y @ xis))
+    eig = _spd_eigen(_pull_back(xis, y))
     return float(math.sqrt(np.sum(np.log(eig.lam) ** 2)))
 
 
 def congruence_action(g, x):
     """Isometric action g x g^T of an invertible matrix g."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {g.shape}")
-    if abs(np.linalg.det(g)) <= 1e-12:
+    g = _as_square(g)
+    # Unlike |det g|, free of the scale and of the dimension.
+    sv = np.linalg.svd(g, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
         raise DomainError("congruence factor is numerically singular")
     x = require_spd(x)
     return require_spd(g @ x @ g.T)
@@ -146,10 +154,8 @@ def riemannian_angle(vertex, p, q):
     [0, pi].
     """
     _, vis = spd_sqrt_pair(vertex)
-    p = as_sym(p)
-    q = as_sym(q)
-    a = spd_log(as_sym(vis @ p @ vis))
-    b = spd_log(as_sym(vis @ q @ vis))
+    a = spd_log(_pull_back(vis, p))
+    b = spd_log(_pull_back(vis, q))
     na = frobenius(a)
     nb = frobenius(b)
     if na <= _DEGENERATE_DIST or nb <= _DEGENERATE_DIST:
@@ -184,10 +190,7 @@ def curvature_tensor_id(x, y, z):
     y = as_sym(y)
     z = as_sym(z)
     comm = x @ y - y @ x
-    r = comm @ z - z @ comm
-    if frobenius(r - r.T) > 1e-10 * max(1.0, frobenius(r)):
-        raise DomainError("curvature value unexpectedly non-symmetric")
-    return (r + r.T) / 2.0
+    return _sym_checked(comm @ z - z @ comm, "curvature")
 
 
 def sectional_curvature_id(x, y):

@@ -5,6 +5,10 @@ eigensolver, which is deterministic and accurate to machine precision for
 dense symmetric input.  Analytic functions (exp, log, sqrt, powers) are
 evaluated through the spectrum, so the results are symmetric by construction.
 
+A caller's scalar phi goes through one checked map, ``_map_checked``, over
+the eigenvalues (``sym_apply``) or their differences (``ad_function_apply``).
+It calls phi on one Python float at a time, as phi's contract promises.
+
 Positive definiteness is checked on the spectrum a function needs anyway.
 The one checked helper, ``_spd_eigen``, symmetrizes its input, decomposes it
 once and applies the rule lam_min > 1e-12 * max(1, lam_max); ``require_spd``
@@ -28,16 +32,22 @@ _JACOBI_TOL = 1e-14
 _MAX_SWEEPS = 50
 
 
-def as_sym(a):
-    """Return the symmetric part (A + A^T)/2 of a square matrix as float64.
-
-    Raises DomainError if the input is not a square 2-d array of size >= 1.
-    """
+def _as_square(a):
+    """a as float64, checked finite, square, 2-d and of size >= 1."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix contains non-finite entries")
+    return a
+
+
+def as_sym(a):
+    """Return the symmetric part (A + A^T)/2 of a square matrix as float64.
+
+    Raises DomainError if the input is not a square 2-d array of size >= 1.
+    """
+    a = _as_square(a)
     return (a + a.T) / 2.0
 
 
@@ -51,7 +61,7 @@ def tr_inner(a, b):
     return float(np.tensordot(a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Orthonormal eigenbasis of a symmetric matrix.
 
@@ -186,22 +196,27 @@ def _rebuild(eig, values):
     return (m + m.T) / 2.0
 
 
-def _map_spectrum(eig, phi):
-    """phi applied eigenvalue-wise, with domain checking."""
-    values = np.empty_like(eig.lam)
-    for i, lam in enumerate(eig.lam):
+def _sym_checked(raw, what):
+    """The symmetric part of raw, which must be symmetric up to rounding."""
+    if frobenius(raw - raw.T) > 1e-10 * max(1.0, frobenius(raw)):
+        raise DomainError(f"{what} produced a non-symmetric result")
+    return (raw + raw.T) / 2.0
+
+
+def _map_checked(phi, values, fn, at):
+    """phi applied to each entry of a float array; DomainError names ``fn``
+    and the entry ``at`` which phi raises or returns a non-finite value."""
+    out = np.empty_like(values)
+    for idx, u in np.ndenumerate(values):
+        u = float(u)
         try:
-            v = float(phi(lam))
+            v = float(phi(u))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(
-                f"scalar function undefined at eigenvalue {float(lam):.6e}: {exc}"
-            ) from exc
+            raise DomainError(f"{fn} undefined at {at} {u:.6e}: {exc}") from exc
         if not math.isfinite(v):
-            raise DomainError(
-                f"scalar function is not finite at eigenvalue {float(lam):.6e}"
-            )
-        values[i] = v
-    return values
+            raise DomainError(f"{fn} is not finite at {at} {u:.6e}")
+        out[idx] = v
+    return out
 
 
 def sym_apply(a, phi):
@@ -211,7 +226,7 @@ def sym_apply(a, phi):
     undefined (raises, or returns a non-finite value) at some eigenvalue.
     """
     eig = sym_eigen(a)
-    return _rebuild(eig, _map_spectrum(eig, phi))
+    return _rebuild(eig, _map_checked(phi, eig.lam, "scalar function", "eigenvalue"))
 
 
 def _check_spd_spectrum(lam, what="matrix"):

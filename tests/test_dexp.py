@@ -92,8 +92,13 @@ class TestAdFunctionOperator:
 
     def test_undefined_at_difference(self):
         op = AdFunctionOperator(base=np.diag([1.0, -1.0]), phi=lambda u: 1.0 / u)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             ad_function_apply(op, OFFDIAG)
+        # The difference is shown as a plain number, not a numpy scalar repr.
+        assert str(info.value) == (
+            "ad-function undefined at eigenvalue difference 0.000000e+00: "
+            "float division by zero"
+        )
 
 
 class TestTau:
@@ -229,5 +234,6 @@ class TestConjugationFlow:
             assert frobenius(got - want) <= 1e-6
 
     def test_rejects_no_steps(self):
-        with pytest.raises(DomainError):
-            integrate_conjugation_flow(np.zeros((2, 2)), np.eye(2), 1.0, steps=0)
+        for steps in (0, -3, 2.5, float("nan"), "10"):
+            with pytest.raises(DomainError, match="steps"):
+                integrate_conjugation_flow(np.zeros((2, 2)), np.eye(2), 1.0, steps)

@@ -225,8 +225,22 @@ class TestCongruence:
         )
 
     def test_rejects_singular(self):
-        with pytest.raises(DomainError):
-            congruence_action(np.zeros((2, 2)), np.eye(2))
+        for g in (np.zeros((2, 2)), np.ones((2, 2))):
+            with pytest.raises(DomainError, match="numerically singular"):
+                congruence_action(g, np.eye(2))
+
+    def test_small_scale_factor_is_not_singular(self):
+        # det(0.01 I_8) = 1e-16, yet g x g^T = 1e-4 x is positive definite.
+        x = np.diag(np.arange(1.0, 9.0))
+        out = congruence_action(0.01 * np.eye(8), x)
+        np.testing.assert_allclose(out, 1e-4 * x, rtol=1e-15)
+
+    def test_large_random_factor_is_not_singular(self):
+        # |det g| / prod_j |g_j| is about 2e-15 here although cond(g) ~ 1e3:
+        # a determinant test, even against Hadamard's bound, would reject g.
+        g = np.random.default_rng(64).normal(size=(64, 64))
+        out = congruence_action(g, np.eye(64))
+        np.testing.assert_allclose(out, g @ g.T, rtol=1e-12, atol=1e-12)
 
 
 class TestSymmetry:

@@ -6,20 +6,29 @@ decomposing it once more just to validate it.  These tests pin both sides
 of that: every folded check still rejects a non-positive-definite, a
 non-finite and a non-square input with the same message as a stand-alone
 ``require_spd``, and each operation runs the stated number of
-eigendecompositions, counted at the one solver ``sym_eigen``.
+eigendecompositions, counted at the one solver ``sym_eigen``.  Operands of
+different sizes are a DomainError too, and result objects that hold arrays
+compare by identity.
 """
 
 import numpy as np
 import pytest
 
 from spdgeom import (
+    AdFunctionOperator,
     DomainError,
     GeodesicSegment,
     TangentVector,
+    ad_function_apply,
     ada_decompose,
     al_kashi_slack,
     block_diag_subspace,
+    conjugation_flow_field,
+    cosh_sinh_split,
     dad_decompose,
+    dexp_apply,
+    dexp_apply_left,
+    dexp_inv_apply,
     diag_projection_compare,
     diag_subspace,
     distance,
@@ -30,6 +39,10 @@ from spdgeom import (
     riem_exp,
     riem_log,
     riemannian_angle,
+    sl2_decompose,
+    sym_eigen,
+    tau,
+    tau_inv,
     translate_convex_submanifold,
 )
 import spdgeom.decompose as decompose
@@ -101,6 +114,44 @@ def test_folded_check_keeps_its_message(call, matrix, message):
     with pytest.raises(DomainError) as info:
         call(matrix)
     assert str(info.value) == message
+
+
+I3 = np.eye(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(tau, id="tau"),
+        pytest.param(tau_inv, id="tau_inv"),
+        pytest.param(dexp_apply, id="dexp_apply"),
+        pytest.param(dexp_apply_left, id="dexp_apply_left"),
+        pytest.param(dexp_inv_apply, id="dexp_inv_apply"),
+        pytest.param(conjugation_flow_field, id="conjugation_flow_field"),
+        pytest.param(
+            lambda x, y: ad_function_apply(AdFunctionOperator(x, np.cosh), y),
+            id="ad_function_apply",
+        ),
+        pytest.param(distance, id="distance"),
+        pytest.param(lambda x, y: geodesic((x, y), 0.3), id="geodesic"),
+        pytest.param(
+            lambda x, y: geodesic(GeodesicSegment(x, y), 0.3), id="geodesic-segment"
+        ),
+        pytest.param(riem_log, id="riem_log"),
+        pytest.param(lambda x, y: riemannian_angle(x, y, y), id="riemannian_angle p"),
+        pytest.param(lambda x, y: riemannian_angle(x, A, y), id="riemannian_angle q"),
+        pytest.param(
+            lambda x, y: riem_exp(x, TangentVector(y, y)), id="riem_exp base"
+        ),
+        pytest.param(
+            lambda x, y: translate_convex_submanifold(x, DIAG2).contains(y),
+            id="membership",
+        ),
+    ],
+)
+def test_size_mismatch_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="dimension mismatch|not based"):
+        call(I2, I3)
 
 
 def test_ill_conditioned_iterate_is_named_in_the_message():
@@ -179,3 +230,36 @@ def test_mostow_gl_decomposes_the_middle_factor_once(eig_count):
     projection, _ = eig_count(geodesic_project, g.T @ g, sub)
     # The singularity check of g^T g, the projection, and f^{1/2} with f^{-1/2}.
     assert eig_count(mostow_gl, g, sub)[0] == projection + 2
+
+
+# ---------------------------------------------------------------------------
+# Result objects compare by identity
+
+OFF = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+# Each factory builds an equal-valued result on every call.
+RESULTS = {
+    "EigenDecomposition": lambda: sym_eigen(X),
+    "TangentVector": lambda: riem_log(X, Y),
+    "GeodesicSegment": lambda: GeodesicSegment(X, Y),
+    "AdFunctionOperator": lambda: AdFunctionOperator(X, np.cosh),
+    "ProjectionResult": lambda: geodesic_project(X, diag_subspace(3)),
+    "MostowFactors": lambda: mostow_spd(X, diag_subspace(3)),
+    "GlFactors": lambda: mostow_gl(X, diag_subspace(3)),
+    "TranslatedSubmanifold": lambda: translate_convex_submanifold(X, diag_subspace(3)),
+    "DiagProjectionReport": lambda: diag_projection_compare(X),
+    "DadFactors": lambda: dad_decompose(X, (1, 2)),
+    "AdaFactors": lambda: ada_decompose(X, (1, 2)),
+    "BlockSplit": lambda: cosh_sinh_split(np.diag([0.1, 0.2]), 0.3 * OFF, (1, 1)),
+    "Sl2Factors": lambda: sl2_decompose(np.array([[2.0, 1.0], [1.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("name, make", RESULTS.items(), ids=RESULTS.keys())
+def test_equality_is_a_bool(name, make):
+    # Field-wise == on array fields would raise "truth value of an array ...
+    # is ambiguous"; results holding arrays compare by identity instead.
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert (a == b) is False
+    assert (a == a) is True
