@@ -19,10 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import geodesic_project, mostow_gl, mostow_spd
+from .decompose import mostow_gl, mostow_spd
 from .errors import ConvergenceError, DomainError
-from .matfun import as_sym, frobenius, require_spd, spd_exp, spd_log
+from .matfun import (
+    as_sym,
+    frobenius,
+    require_spd,
+    spd_exp,
+    spd_log,
+    sym_eigen,
+    _as_square,
+    _map_checked,
+    _one_size,
+    _rebuild,
+)
 from .subspace import (
+    _check_partition,
     block_antidiag_subspace,
     block_diag_subspace,
     diag_subspace,
@@ -41,10 +53,7 @@ class BlockPartition:
     sizes: tuple
 
     def __init__(self, sizes):
-        sizes = tuple(int(s) for s in sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise DomainError(f"invalid block partition {sizes}")
-        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "sizes", tuple(_check_partition(sizes)))
 
     @property
     def n(self):
@@ -66,13 +75,13 @@ class BlockPartition:
 
 def block_diag_part(m, partition):
     """Entrywise restriction to the diagonal blocks."""
-    m = np.asarray(m, dtype=float)
+    m = _one_size(_as_square(m), n=partition.n)
     return np.where(partition.diag_block_mask(), m, 0.0)
 
 
 def off_block_part(m, partition):
     """Entrywise restriction to the off-diagonal blocks."""
-    m = np.asarray(m, dtype=float)
+    m = _one_size(_as_square(m), n=partition.n)
     return np.where(partition.diag_block_mask(), 0.0, m)
 
 
@@ -87,9 +96,7 @@ def _two_block(partition, *mats):
             "block subspace is not bracket-closed for three or more"
         )
     mats = [as_sym(m) for m in mats]
-    if any(m.shape[0] != partition.n for m in mats):
-        plural = "s" if len(mats) > 1 else ""
-        raise DomainError(f"partition does not match the matrix dimension{plural}")
+    _one_size(*mats, n=partition.n)
     return (partition, *mats)
 
 
@@ -103,9 +110,10 @@ def _require_pattern(m, partition, diagonal, what):
 
 
 def _cosh_sinh(a):
-    exp_a = spd_exp(a)
-    exp_neg_a = spd_exp(-a)
-    return (exp_a + exp_neg_a) / 2.0, (exp_a - exp_neg_a) / 2.0
+    """(cosh a, sinh a) from one eigendecomposition; |sinh| < cosh on reals."""
+    eig = sym_eigen(a)
+    cosh = _map_checked(math.cosh, eig.lam, "cosh", "eigenvalue")
+    return _rebuild(eig, cosh), _rebuild(eig, np.sinh(eig.lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +148,7 @@ class DiagProjectionReport:
     diag_cov: np.ndarray
     equal: bool
     gap: float
-    unit_diag_gap: float  # || diag(exp(v)) - I || for v = log(pi^{-1/2} cov pi^{-1/2})
+    unit_diag_gap: float  # || diag(f) - I || for cov = e f e, pi = e^2
 
 
 def diag_projection_compare(cov, **opts):
@@ -152,14 +160,12 @@ def diag_projection_compare(cov, **opts):
     """
     cov = as_sym(cov)
     n = cov.shape[0]
-    proj = geodesic_project(cov, diag_subspace(n), **opts)
-    pi = proj.pi
+    factors = mostow_spd(cov, diag_subspace(n), **opts)
+    pi = factors.pi
     diag_cov = np.diag(np.diag(cov).copy())
     gap = frobenius(pi - diag_cov)
     equal = gap <= 1e-8 * frobenius(cov)
-    pi_inv_root = np.diag(1.0 / np.sqrt(np.diag(pi)))
-    v = spd_log(as_sym(pi_inv_root @ cov @ pi_inv_root))
-    unit_diag_gap = frobenius(np.diag(np.diag(spd_exp(v))) - np.eye(n))
+    unit_diag_gap = frobenius(np.diag(np.diag(factors.f)) - np.eye(n))
     return DiagProjectionReport(
         pi=pi, diag_cov=diag_cov, equal=equal, gap=gap, unit_diag_gap=unit_diag_gap
     )
@@ -260,8 +266,7 @@ def ada_sum_split(a_prime, d_prime, partition):
     cosh_a, sinh_a = _cosh_sinh(a_prime)
     exp_d = spd_exp(d_prime)
     d_part = as_sym(cosh_a @ exp_d @ cosh_a + sinh_a @ exp_d @ sinh_a)
-    a_part = cosh_a @ exp_d @ sinh_a + sinh_a @ exp_d @ cosh_a
-    a_part = (a_part + a_part.T) / 2.0
+    a_part = as_sym(cosh_a @ exp_d @ sinh_a + sinh_a @ exp_d @ cosh_a)
     _require_pattern(
         d_part, partition, True, "even cross terms left the block-diagonal pattern"
     )
@@ -289,9 +294,7 @@ class Sl2Factors:
 
 def sl2_decompose(g, **opts):
     """Factor a determinant-one 2 x 2 matrix as rotation * hyperbolic * dilation."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (2, 2):
-        raise DomainError(f"expected a 2 x 2 matrix, got shape {g.shape}")
+    g = _one_size(_as_square(g), n=2)
     det = float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
     if abs(det - 1.0) > 1e-9:
         raise DomainError(f"determinant must be 1, got {det!r}")

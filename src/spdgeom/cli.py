@@ -30,7 +30,7 @@ import numpy as np
 from .decompose import geodesic_project, mostow_gl, mostow_spd
 from .errors import ConvergenceError, DomainError, ParseError, SpdGeomError
 from .manifold import distance, geodesic, sectional_curvature_id
-from .matfun import frobenius, spd_exp, spd_log
+from .matfun import frobenius, spd_exp, spd_log, _one_size
 from .subspace import (
     block_antidiag_subspace,
     block_diag_subspace,
@@ -171,37 +171,32 @@ def _matrix_out(m):
 
 
 def parse_subspace_spec(spec, n):
-    """Resolve "diag" | "block:p,q[,...]" | "antiblock:p,q" | "file:PATH"."""
+    """Resolve "diag" | "block:p,q[,...]" | "antiblock:p,q" | "file:PATH".
+
+    Block sizes must sum to n, checked before the basis is built; a file
+    subspace is returned as read, for the caller to check against n.
+    """
     if spec == "diag":
         return diag_subspace(n), None
-    if spec.startswith("block:"):
-        sizes = _parse_sizes(spec)
-        if sum(sizes) != n:
-            raise DomainError(
-                f"block sizes {sizes} sum to {sum(sizes)}, matrix dimension is {n}"
-            )
-        return block_diag_subspace(sizes), None
-    if spec.startswith("antiblock:"):
-        sizes = _parse_sizes(spec)
-        if len(sizes) != 2:
-            raise ParseError(f"antiblock spec needs exactly two sizes, got {spec!r}")
-        if sum(sizes) != n:
-            raise DomainError(
-                f"antiblock sizes {sizes} sum to {sum(sizes)}, matrix dimension is {n}"
-            )
-        return block_antidiag_subspace(*sizes), None
     if spec.startswith("file:"):
         path = spec[len("file:") :]
-        sub = load_subspace(path)
-        if sub.n != n:
-            raise DomainError(
-                f"subspace ambient dimension {sub.n} != matrix dimension {n}"
-            )
-        return sub, path
-    raise ParseError(
-        f"unknown subspace spec {spec!r}; expected diag, block:..., antiblock:p,q "
-        "or file:PATH"
-    )
+        return load_subspace(path), path
+    kind, _, _ = spec.partition(":")
+    if not spec.startswith(("block:", "antiblock:")):
+        raise ParseError(
+            f"unknown subspace spec {spec!r}; expected diag, block:..., "
+            "antiblock:p,q or file:PATH"
+        )
+    sizes = _parse_sizes(spec)
+    if kind == "antiblock" and len(sizes) != 2:
+        raise ParseError(f"antiblock spec needs exactly two sizes, got {spec!r}")
+    if sum(sizes) != n:
+        raise DomainError(
+            f"{kind} sizes {sizes} sum to {sum(sizes)}, matrix dimension is {n}"
+        )
+    if kind == "block":
+        return block_diag_subspace(sizes), None
+    return block_antidiag_subspace(*sizes), None
 
 
 def _parse_sizes(spec):
@@ -412,12 +407,12 @@ def _run(cmd, params):
             m = symmetrize_input(m, origin, warnings)
         args.append(m)
         inputs[key] = {"source": origin, "n": int(m.shape[0]), "sha256": _digest(m)}
-    if len({m.shape for m in args}) > 1:
-        raise DomainError(f"matrix dimensions differ: {[m.shape[0] for m in args]}")
+    _one_size(*args)
     x = args[0]
     if cmd.subspace is not None:
         spec = _text(params, cmd.subspace)
         sub, path = parse_subspace_spec(spec, x.shape[0])
+        _one_size(x, n=sub.n)
         args.append(sub)
         inputs["subspace"] = spec
         if path is not None:

@@ -44,13 +44,10 @@ from .matfun import (
     sym_eigen,
     _as_square,
     _check_spd_spectrum,
+    _one_size,
     _rebuild,
 )
 from .subspace import Subspace, lts_check, project_trace
-
-_DEFAULT_TOL = 1e-11
-_DEFAULT_MAX_ITER = 500
-_DEFAULT_STEP = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +59,7 @@ class ProjectionResult:
     residual: float
     # pi = exp(w): the eigendecomposition of w gives the factorizations
     # pi^{+-1/2} without decomposing pi again.
-    _eig_w: EigenDecomposition = field(default=None, init=False, repr=False)
+    _eig_w: EigenDecomposition = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,12 +93,7 @@ def _require_pair(x, e_sub):
     to the decomposition of x that the caller needs anyway."""
     if not isinstance(e_sub, Subspace):
         raise DomainError("e_sub must be a Subspace")
-    x = as_sym(x)
-    if x.shape[0] != e_sub.n:
-        raise DomainError(
-            f"matrix dimension {x.shape[0]} != subspace ambient {e_sub.n}"
-        )
-    return x
+    return _one_size(as_sym(x), n=e_sub.n)
 
 
 def _require_lts(e_sub, unchecked):
@@ -115,12 +107,6 @@ def _require_lts(e_sub, unchecked):
             "exponential image has no uniqueness guarantee. Pass "
             "unchecked=True to run the iteration anyway."
         )
-
-
-def _half_powers(eig_w):
-    """(exp(w/2), exp(-w/2)) from the eigendecomposition of w."""
-    half = np.exp(eig_w.lam / 2.0)
-    return _rebuild(eig_w, half), _rebuild(eig_w, 1.0 / half)
 
 
 class _Iterate:
@@ -162,7 +148,7 @@ class _Iterate:
         return (basis_w * kernel.ravel()) @ basis_w.T
 
 
-def _advance(x, e_sub, cur, step):
+def _advance(x, e_sub, cur):
     """One step from ``cur``: (next iterate, whether it is the Newton trial)."""
     jacobian = cur.chart_jacobian()
 
@@ -185,16 +171,15 @@ def _advance(x, e_sub, cur, step):
     # Within distance d of x the Hessian is at most L = (r/2) coth(r/2),
     # r = sqrt(2) d bounding the spread of u's eigenvalues: 1/L descends.
     bound = 0.5 * float(_kernel_u_coth_half(np.sqrt(2.0) * frobenius(cur.mu)))
-    return move(min(step, 1.0 / bound) * cur.grad), False
+    return move((1.0 / bound) * cur.grad), False
 
 
 def geodesic_project(
     x,
     e_sub,
     *,
-    tol=_DEFAULT_TOL,
-    max_iter=_DEFAULT_MAX_ITER,
-    step=_DEFAULT_STEP,
+    tol=1e-11,
+    max_iter=500,
     unchecked=False,
     initial=None,
 ):
@@ -215,9 +200,8 @@ def geodesic_project(
         Threshold on the residual |P_E(log(y^{-1/2} x y^{-1/2}))|.  Its rounding
         noise grows with the conditioning of y^{-1/2} x y^{-1/2} (1e-10 to 1e-9
         at 2e7); below it a tolerance is met only by chance, else ConvergenceError.
-    max_iter, step : int, float
-        Iterates examined, the start included; cap on the gradient step
-        length factor min(step, 1/L), L bounding the Hessian at the distance.
+    max_iter : int
+        Iterates examined, the start included.
     initial : array_like, optional
         Start from exp(P_E(log initial)); defaults to exp(P_E(log x)).  A
         given start costs one more eigendecomposition, to check x.
@@ -234,20 +218,17 @@ def geodesic_project(
     else:
         require_spd(x)
         start = spd_log(initial)
-    count_ok = isinstance(max_iter, numbers.Integral) and max_iter >= 1
-    if not (tol > 0 and step > 0 and count_ok):
-        raise DomainError("tol and step must be positive and max_iter an integer >= 1")
+    if not (tol > 0 and isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise DomainError("tol must be positive and max_iter an integer >= 1")
     _require_lts(e_sub, unchecked)
 
     cur = _Iterate(x, e_sub, project_trace(e_sub, start))
     for iteration in range(max_iter):
         if cur.residual <= tol:
             pi = _rebuild(cur.eig_w, np.exp(cur.eig_w.lam))
-            result = ProjectionResult(pi, iteration, cur.residual)
-            object.__setattr__(result, "_eig_w", cur.eig_w)  # frozen, init=False
-            return result
+            return ProjectionResult(pi, iteration, cur.residual, cur.eig_w)
         if iteration + 1 < max_iter:
-            cur, _ = _advance(x, e_sub, cur, step)
+            cur, _ = _advance(x, e_sub, cur)
     raise ConvergenceError(
         f"projection did not reach residual {tol:.1e} in {max_iter} iterations "
         f"(last residual {cur.residual:.3e})",
@@ -259,7 +240,8 @@ def geodesic_project(
 def _factor(x, proj):
     """x = e f e with e = exp(w/2) taken from the projection pi = exp(w);
     also returns e^{-1}."""
-    e, e_inv = _half_powers(proj._eig_w)
+    half = np.exp(proj._eig_w.lam / 2.0)
+    e, e_inv = _rebuild(proj._eig_w, half), _rebuild(proj._eig_w, 1.0 / half)
     f = as_sym(e_inv @ x @ e_inv)
     factors = MostowFactors(
         e=e, f=f, pi=proj.pi, iterations=proj.iterations, residual=proj.residual
@@ -329,7 +311,6 @@ class TranslatedSubmanifold:
 
     def point(self, u):
         """The member x^{1/2} exp(u) x^{1/2} for u in E."""
-        u = as_sym(u)
         xs, _ = spd_sqrt_pair(self.base)
         return as_sym(xs @ spd_exp(project_trace(self.subspace, u)) @ xs)
 

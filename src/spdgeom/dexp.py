@@ -28,15 +28,20 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .matfun import as_sym, sym_eigen, _map_checked, _rebuild, _sym_checked
+from .matfun import (
+    as_sym,
+    sym_eigen,
+    _as_square,
+    _map_checked,
+    _one_size,
+    _rebuild,
+    _sym_checked,
+)
 
 
 def ad(x, y):
     """Commutator XY - YX of a symmetric X with an arbitrary square Y."""
-    x = as_sym(x)
-    y = np.asarray(y, dtype=float)
-    if y.shape != x.shape:
-        raise DomainError(f"dimension mismatch: {x.shape} against {y.shape}")
+    x, y = _one_size(as_sym(x), _as_square(y))
     return x @ y - y @ x
 
 
@@ -55,10 +60,7 @@ class AdFunctionOperator:
 
 def _in_eigenbasis(x, y):
     """(eigendecomposition of X, Y) for symmetrized X and Y of one size."""
-    x = as_sym(x)
-    y = as_sym(y)
-    if y.shape != x.shape:
-        raise DomainError(f"dimension mismatch: {x.shape} against {y.shape}")
+    x, y = _one_size(as_sym(x), as_sym(y))
     return sym_eigen(x), y
 
 
@@ -132,12 +134,14 @@ def dexp_apply_left(x, y):
     """Left-translated form exp(X) ((1 - e^{-ad X}) / ad X)(Y).
 
     Equal to :func:`dexp_apply`; kept as an independent evaluation route for
-    cross-checking.
+    cross-checking.  In X's eigenbasis exp(X) scales row i by e^{lambda_i}, so
+    entry (i, j) is the divided difference (e^{lambda_i} - e^{lambda_j}) /
+    (lambda_i - lambda_j): symmetric whatever the spread of the spectrum.
     """
     eig, y = _in_eigenbasis(x, y)
-    full = _rebuild(eig, np.exp(eig.lam))
-    inner = _scaled(eig, y, _kernel_exp_ratio)
-    return _sym_checked(full @ inner, "dexp_apply_left")
+    rows = np.exp(eig.lam)[:, None]
+    inner = _scaled(eig, y, lambda u: rows * _kernel_exp_ratio(u))
+    return _sym_checked(inner, "dexp_apply_left")
 
 
 def dexp_inv_apply(x, z):
@@ -168,8 +172,7 @@ def integrate_conjugation_flow(x0, y, t, steps=100):
     verification oracle in the tests; this integrator exists to exercise the
     flow field itself.
     """
-    x0 = as_sym(x0)
-    y = as_sym(y)
+    x0, y = _one_size(as_sym(x0), as_sym(y))
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise DomainError("steps must be an integer >= 1")
     h = float(t) / steps

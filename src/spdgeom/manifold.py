@@ -28,6 +28,7 @@ from .matfun import (
     spd_sqrt_pair,
     tr_inner,
     _as_square,
+    _one_size,
     _spd_eigen,
     _sym_checked,
 )
@@ -45,8 +46,7 @@ class TangentVector:
     vec: np.ndarray
 
     def __post_init__(self):
-        self.base = require_spd(self.base)
-        self.vec = as_sym(self.vec)
+        self.base, self.vec = _one_size(require_spd(self.base), as_sym(self.vec))
 
 
 def _tangent(base, vec):
@@ -65,23 +65,18 @@ class GeodesicSegment:
     y: np.ndarray
 
     def __post_init__(self):
-        self.x = require_spd(self.x)
-        self.y = require_spd(self.y)
+        self.x, self.y = _one_size(require_spd(self.x), require_spd(self.y))
 
 
 def _pull_back(xis, y):
     """x^{-1/2} y x^{-1/2} for y symmetrized and of x's size."""
-    y = as_sym(y)
-    if y.shape != xis.shape:
-        raise DomainError(f"dimension mismatch: {xis.shape} against {y.shape}")
+    xis, y = _one_size(xis, as_sym(y))
     return as_sym(xis @ y @ xis)
 
 
 def metric(x, u, v):
     """Inner product tr(x^-1 u x^-1 v) of tangent vectors u, v at x."""
-    xi = spd_inv(x)
-    u = as_sym(u)
-    v = as_sym(v)
+    xi, u, v = _one_size(spd_inv(x), as_sym(u), as_sym(v))
     return float(np.trace(xi @ u @ xi @ v))
 
 
@@ -112,8 +107,8 @@ def riem_exp(x, v):
     xs, xis = spd_sqrt_pair(x)
     if not isinstance(v, TangentVector):
         raise DomainError("riem_exp expects a TangentVector")
-    off = frobenius(v.base - x) if v.base.shape == x.shape else math.inf
-    if off > 1e-9 * max(1.0, frobenius(x)):
+    x, base = _one_size(x, v.base)
+    if frobenius(base - x) > 1e-9 * max(1.0, frobenius(x)):
         raise DomainError("tangent vector is not based at the given point")
     return as_sym(xs @ spd_exp(_pull_back(xis, v.vec)) @ xs)
 
@@ -136,14 +131,14 @@ def congruence_action(g, x):
     sv = np.linalg.svd(g, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise DomainError("congruence factor is numerically singular")
-    x = require_spd(x)
+    g, x = _one_size(g, require_spd(x))
     return require_spd(g @ x @ g.T)
 
 
 def geodesic_symmetry(x, y):
     """Point symmetry s_x(y) = x y^-1 x, the global symmetry fixing x."""
-    x = require_spd(x)
-    return as_sym(x @ spd_inv(y) @ x)
+    x, y_inv = _one_size(require_spd(x), spd_inv(y))
+    return as_sym(x @ y_inv @ x)
 
 
 def riemannian_angle(vertex, p, q):
@@ -186,9 +181,7 @@ def curvature_tensor_id(x, y, z):
     For symmetric X, Y, Z the bracket [X, Y] is skew, so the result is again
     symmetric; this is asserted before returning.
     """
-    x = as_sym(x)
-    y = as_sym(y)
-    z = as_sym(z)
+    x, y, z = _one_size(as_sym(x), as_sym(y), as_sym(z))
     comm = x @ y - y @ x
     return _sym_checked(comm @ z - z @ comm, "curvature")
 
@@ -199,8 +192,7 @@ def sectional_curvature_id(x, y):
     K = <[[X, Y], X], Y> / (<X,X><Y,Y> - <X,Y>^2) with the trace inner
     product; always non-positive, and zero exactly when X and Y commute.
     """
-    x = as_sym(x)
-    y = as_sym(y)
+    x, y = _one_size(as_sym(x), as_sym(y))
     nx2 = tr_inner(x, x)
     ny2 = tr_inner(y, y)
     cross = tr_inner(x, y)

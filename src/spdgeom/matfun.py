@@ -5,6 +5,10 @@ eigensolver, which is deterministic and accurate to machine precision for
 dense symmetric input.  Analytic functions (exp, log, sqrt, powers) are
 evaluated through the spectrum, so the results are symmetric by construction.
 
+Operands are checked one at a time for a finite square array (``_as_square``,
+``as_sym``, ``require_spd``), then together, with the size of any subspace or
+partition, by the one size check ``_one_size``.
+
 A caller's scalar phi goes through one checked map, ``_map_checked``, over
 the eigenvalues (``sym_apply``) or their differences (``ad_function_apply``).
 It calls phi on one Python float at a time, as phi's contract promises.
@@ -51,13 +55,25 @@ def as_sym(a):
     return (a + a.T) / 2.0
 
 
+def _one_size(*mats, n=None):
+    """The square-checked matrices, unchanged (one alone, several as a tuple),
+    if they and ``n`` have one size; else DomainError "dimension mismatch:
+    (2, 2) against (3, 3)", naming the first and the first that differs."""
+    shapes = [m.shape for m in mats] + ([] if n is None else [(n, n)])
+    for shape in shapes[1:]:
+        if shape != shapes[0]:
+            raise DomainError(f"dimension mismatch: {shapes[0]} against {shape}")
+    return mats[0] if len(mats) == 1 else mats
+
+
 def frobenius(a):
     """Frobenius norm."""
     return float(np.linalg.norm(a))
 
 
 def tr_inner(a, b):
-    """Trace inner product Tr(AB) of two symmetric matrices."""
+    """Trace inner product Tr(AB) of two symmetric matrices of one size."""
+    a, b = _one_size(_as_square(a), _as_square(b))
     return float(np.tensordot(a, b))
 
 

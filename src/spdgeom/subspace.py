@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .matfun import as_sym, frobenius, tr_inner
+from .matfun import as_sym, frobenius, _one_size
 
 # Generators whose orthogonal residual falls below this fraction of the
 # largest generator norm are treated as dependent and dropped.
@@ -70,32 +70,35 @@ def build_subspace(generators, drop_tol=_DROP_TOL):
     mats = [as_sym(g) for g in generators]
     if not mats:
         raise DomainError("cannot build a subspace from no generators")
-    n = mats[0].shape[0]
-    for g in mats:
-        if g.shape[0] != n:
-            raise DomainError("generators have inconsistent dimensions")
+    _one_size(*mats)
     max_norm = max(frobenius(g) for g in mats)
     if max_norm <= 1e-12:
         raise DomainError("all generators are numerically zero")
+    basis = _gram_schmidt(mats, drop_tol * max_norm)
+    return Subspace(n=mats[0].shape[0], basis=np.stack(basis))
+
+
+def _gram_schmidt(mats, floor):
+    """Orthonormal list from the matrices by modified Gram-Schmidt, dropping
+    each whose residual norm is at most ``floor``."""
     basis = []
     for g in mats:
         v = g.copy()
         # Two orthogonalization passes keep the basis orthonormal to machine
-        # precision even for badly conditioned generator sets.
+        # precision even for badly conditioned generator sets.  The products
+        # skip tr_inner's operand checks, which would double their cost.
         for _ in range(2):
             for b in basis:
-                v -= tr_inner(v, b) * b
+                v -= float(np.tensordot(v, b)) * b
         nv = frobenius(v)
-        if nv > drop_tol * max_norm:
+        if nv > floor:
             basis.append(v / nv)
-    return Subspace(n=n, basis=np.stack(basis))
+    return basis
 
 
 def project_trace(e, y):
     """Orthogonal projection of a symmetric matrix onto the subspace."""
-    y = as_sym(y)
-    if y.shape[0] != e.n:
-        raise DomainError(f"matrix dimension {y.shape[0]} != subspace ambient {e.n}")
+    y = _one_size(as_sym(y), n=e.n)
     if e.dim == 0:
         return np.zeros_like(y)
     coeffs = np.einsum("kab,ab->k", e.basis, y)
@@ -126,15 +129,8 @@ def orthogonal_complement(e):
     is the explicit "empty" flag.
     """
     full_dim = e.n * (e.n + 1) // 2
-    basis = []
-    for cand in _sym_standard_basis(e.n):
-        v = cand - project_trace(e, cand)
-        for _ in range(2):
-            for b in basis:
-                v -= tr_inner(v, b) * b
-        nv = frobenius(v)
-        if nv > _DROP_TOL:
-            basis.append(v / nv)
+    cands = (c - project_trace(e, c) for c in _sym_standard_basis(e.n))
+    basis = _gram_schmidt(cands, _DROP_TOL)
     expected = full_dim - e.dim
     if len(basis) != expected:
         raise DomainError(
@@ -330,8 +326,6 @@ def multi_block_zero_diag_counterexample(num_blocks, block_size=1, tol=1e-9):
     """
     if num_blocks < 3:
         raise DomainError("counterexample needs at least three blocks")
-    if block_size < 1:
-        raise DomainError("block size must be at least 1")
     sub = zero_diag_block_subspace([block_size] * num_blocks)
     return lts_check(sub, tol=tol)
 

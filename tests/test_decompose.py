@@ -218,8 +218,6 @@ class TestGeodesicProject:
         [
             {"tol": math.nan},
             {"tol": 0.0},
-            {"step": math.nan},
-            {"step": -1.0},
             {"max_iter": math.nan},
             {"max_iter": 2.5},
             {"max_iter": 0},
@@ -368,7 +366,7 @@ class TestNewtonProjection:
         it = _Iterate(x, e_sub, spd_log(start))
         kinds = []
         while it.residual > 1e-11:
-            it, newton = _advance(x, e_sub, it, 1.0)
+            it, newton = _advance(x, e_sub, it)
             kinds.append(newton)
         assert not kinds[0]
         assert len(kinds) <= 12

@@ -167,6 +167,18 @@ class TestDexp:
                 1.0, frobenius(d)
             )
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_two_routes_agree_at_wide_spectra(self, n):
+        # Entries ~1.5 N(0, 1) spread the spectrum over tens of units; forming
+        # exp(X) times the inner factor outside the eigenbasis loses symmetry
+        # to rounding that grows like e^{lambda_max - lambda_min}.
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            a, b = 1.5 * rng.normal(size=(2, n, n))
+            x, y = (a + a.T) / 2.0, (b + b.T) / 2.0
+            d = dexp_apply(x, y)
+            assert frobenius(dexp_apply_left(x, y) - d) <= 1e-9 * frobenius(d)
+
     def test_inverse_at_zero(self):
         rng = np.random.default_rng(11)
         z = random_sym(rng, 4)
