@@ -11,9 +11,10 @@ The commands are the rows of ``COMMANDS``, which build the argument parser,
 check ``spd batch`` entries and drive the one runner.  Batch keys mirror the
 CLI argument names, except that ``gl`` names its subspace ``g_subspace``.
 An entry with a missing key, a non-string matrix or subspace argument, an
-option value that does not convert or a non-finite number (which a strict
-JSON report cannot echo) gets its own exit-2 report; the other entries
-still run.
+option value that does not convert, a non-finite number or lists and dicts
+nested deeper than ``_MAX_DEPTH`` (which a strict JSON report cannot echo)
+gets its own exit-2 report; the other entries still run.  JSON nested too
+deeply for the parser is a parse error too.
 """
 
 import argparse
@@ -47,6 +48,10 @@ EXIT_NO_CONVERGENCE = 4
 # Inputs whose asymmetry exceeds this fraction of their norm are rejected;
 # smaller asymmetries are symmetrized with a warning.
 _ASYM_TOL = 1e-9
+
+# Batch entry values nested deeper than this are refused: no argument is a
+# list or dict, and a report has to echo what it is given.
+_MAX_DEPTH = 32
 
 
 def _default_tol():
@@ -118,7 +123,7 @@ def read_matrix(source, fmt=None):
     if stripped.startswith("["):
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"inline matrix: invalid JSON: {exc}") from exc
         return _read_json_matrix(obj, "inline matrix"), "<inline>"
     try:
@@ -132,7 +137,7 @@ def read_matrix(source, fmt=None):
         return _parse_rows(_read_csv(text, source), source), source
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{source}: invalid JSON: {exc}") from exc
     return _read_json_matrix(obj, source), source
 
@@ -362,16 +367,21 @@ def _text(params, key):
     return value
 
 
-def _finite(value):
-    """False when a float in ``value``, or in its lists and dicts, is NaN or
-    infinite: strict JSON has no such numbers."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, list):
-        return all(map(_finite, value))
-    if isinstance(value, dict):
-        return all(map(_finite, value.values()))
-    return True
+def _unfit(value):
+    """Why a report cannot echo ``value``: a NaN or infinite float in it or in
+    its lists and dicts (strict JSON has no such numbers), or lists and dicts
+    nested deeper than ``_MAX_DEPTH``; None when it can."""
+    stack = [(value, 0)]
+    while stack:
+        value, depth = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            return "non-finite number"
+        if isinstance(value, (list, dict)):
+            if depth == _MAX_DEPTH:
+                return f"nesting deeper than {_MAX_DEPTH}"
+            items = value.values() if isinstance(value, dict) else value
+            stack.extend((item, depth + 1) for item in items)
+    return None
 
 
 def _option(params, key, opt):
@@ -384,7 +394,7 @@ def _option(params, key, opt):
         converted = opt.type(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad value for option {key!r}: {exc}") from exc
-    if not _finite(converted):
+    if _unfit(converted):
         raise ParseError(f"option {key!r} is not a finite number: {value!r}")
     return converted
 
@@ -452,8 +462,8 @@ _ERRORS = (
 def _report(command, params, exc=None):
     """The report skeleton; with ``exc``, the report of a failed run."""
     report = {
-        "command": command if _finite(command) else None,
-        "params": {k: v for k, v in params.items() if v is not None and _finite(v)},
+        "command": None if _unfit(command) else command,
+        "params": {k: v for k, v in params.items() if not (v is None or _unfit(v))},
         "inputs": {},
         "outputs": {},
         "diagnostics": {"iterations": None, "residual": None, "warnings": []},
@@ -473,11 +483,12 @@ def _report(command, params, exc=None):
 def run_report(command, params):
     """Execute one command and wrap the outcome in a report dict."""
     try:
+        entry = {"command": command, **params}
+        bad = [f"{why} in {key!r}" for key in entry if (why := _unfit(entry[key]))]
+        if bad:
+            raise ParseError(", ".join(bad))
         if not isinstance(command, str) or command not in COMMANDS:
             raise ParseError(f"unknown command {command!r}")
-        bad = [key for key, value in params.items() if not _finite(value)]
-        if bad:
-            raise ParseError(f"non-finite number in {', '.join(map(repr, bad))}")
         inputs, outputs, diagnostics = _run(COMMANDS[command], params)
     except SpdGeomError as exc:
         return _report(command, params, exc)
@@ -497,7 +508,7 @@ def run_batch(manifest_path):
             entries = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or UTF-8
+    except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, too deep
         raise ParseError(f"invalid JSON in manifest {manifest_path}: {exc}") from exc
     if not isinstance(entries, list):
         raise ParseError("batch manifest must be a JSON array of command objects")

@@ -213,13 +213,14 @@ def geodesic_project(
         iterations; carries the last residual.
     """
     x = _require_pair(x, e_sub)
+    if not (tol > 0 and isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise DomainError("tol must be positive and max_iter an integer >= 1")
     if initial is None:
         start = spd_log(x)
     else:
+        initial = _one_size(x, _as_square(initial))[1]
         require_spd(x)
         start = spd_log(initial)
-    if not (tol > 0 and isinstance(max_iter, numbers.Integral) and max_iter >= 1):
-        raise DomainError("tol must be positive and max_iter an integer >= 1")
     _require_lts(e_sub, unchecked)
 
     cur = _Iterate(x, e_sub, project_trace(e_sub, start))
@@ -266,17 +267,18 @@ def mostow_gl(g, e_sub, **opts):
     Follows from the two-sided factorization of g^T g = e f^2 e: the square
     root of the middle factor stays in exp(E^perp) because that subspace is
     closed under halving of logarithms.
+
+    g^T g must pass the positive-definiteness floor of every SPD input, on
+    the squares of g's singular values: sigma_min > 1e-6 * max(1, sigma_max).
+    The floor is absolute below 1, so a well-conditioned g of norm below
+    1e-6 is refused too; scale it up first.
     """
     g = _as_square(g)
     s = as_sym(g.T @ g)
     eig = sym_eigen(s)
-    # Singular values of g are the square roots of these eigenvalues.
-    ratio = eig.lam[-1] / eig.lam[0] if eig.lam[0] > 0 else 0.0
-    if ratio <= 1e-20:
-        raise DomainError(
-            "matrix is too close to singular "
-            f"(squared singular value ratio {ratio:.3e})"
-        )
+    _check_spd_spectrum(
+        eig.lam, "g^T g, whose eigenvalues are the squared singular values of g,"
+    )
     factors, e_inv = _factor(s, geodesic_project(s, e_sub, **opts))
     f, f_inv = spd_sqrt_pair(factors.f)
     k = g @ e_inv @ f_inv
@@ -300,6 +302,10 @@ class TranslatedSubmanifold:
     base: np.ndarray
     subspace: Subspace
 
+    def __post_init__(self):
+        base = require_spd(_require_pair(self.base, self.subspace))
+        object.__setattr__(self, "base", base)
+
     def membership_residual(self, y):
         """Norm of the E-orthogonal part of log(x^{-1/2} y x^{-1/2})."""
         _, xis = spd_sqrt_pair(self.base)
@@ -317,5 +323,4 @@ class TranslatedSubmanifold:
 
 def translate_convex_submanifold(x, e_sub):
     """Normal form (x, E) of the translated submanifold through x."""
-    base = require_spd(_require_pair(x, e_sub))
-    return TranslatedSubmanifold(base=base, subspace=e_sub)
+    return TranslatedSubmanifold(base=x, subspace=e_sub)

@@ -57,6 +57,9 @@ class AdFunctionOperator:
     base: np.ndarray
     phi: Callable[[float], float]
 
+    def __post_init__(self):
+        object.__setattr__(self, "base", as_sym(self.base))
+
 
 def _in_eigenbasis(x, y):
     """(eigendecomposition of X, Y) for symmetrized X and Y of one size."""

@@ -9,17 +9,18 @@ geodesic submanifold:
     [X, [X, Y]] in E  for all X, Y in E           (double-bracket form)
 
 The two are equivalent by polarization; ``lts_check`` evaluates both and
-reports them side by side.  It never forms all k^3 basis triples at once,
-and it carries each nested bracket only on the set Z of entries that a
-basis element or a nested bracket can reach: for a k-dimensional subspace
-of n x n matrices it needs O(k^2 n^2) memory for the brackets and the
-products of one basis element, O(k^2 |Z|) for everything kept per triple,
-and O(k^3 n^3 + k^4 |Z|) time.  For a dense basis Z is every entry; for the
-ready-made block subspaces it can be much smaller, and brackets of basis
-pairs that vanish exactly (all of them for the diagonal subspace) cost next
-to nothing.
+reports them side by side, in the time and memory its docstring states.
+
+The ready-made subspaces are spanned by the upper entries (i, j), j >= i, of
+a block partition that lie inside its diagonal blocks (``diag_subspace``,
+``block_diag_subspace``) or outside them (``block_antidiag_subspace``,
+``zero_diag_block_subspace``).  Their bases hold one element per entry, in
+row-major order, with weight 1 on a diagonal entry and 1/sqrt(2) on both
+entries of an off-diagonal pair; that order fixes the witness triple that
+``lts_check`` reports.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -99,27 +100,8 @@ def _gram_schmidt(mats, floor):
 def project_trace(e, y):
     """Orthogonal projection of a symmetric matrix onto the subspace."""
     y = _one_size(as_sym(y), n=e.n)
-    if e.dim == 0:
-        return np.zeros_like(y)
     coeffs = np.einsum("kab,ab->k", e.basis, y)
     return np.einsum("k,kab->ab", coeffs, e.basis)
-
-
-def _sym_standard_basis(n):
-    """Orthonormal basis of all symmetric n x n matrices."""
-    out = []
-    for i in range(n):
-        m = np.zeros((n, n))
-        m[i, i] = 1.0
-        out.append(m)
-    root_half = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = root_half
-            m[j, i] = root_half
-            out.append(m)
-    return out
 
 
 def orthogonal_complement(e):
@@ -129,7 +111,9 @@ def orthogonal_complement(e):
     is the explicit "empty" flag.
     """
     full_dim = e.n * (e.n + 1) // 2
-    cands = (c - project_trace(e, c) for c in _sym_standard_basis(e.n))
+    # The standard basis: the diagonal entries, then the off-diagonal ones.
+    std = [_entry_subspace(range(1, e.n + 1), side).basis for side in (True, False)]
+    cands = (c - project_trace(e, c) for c in np.concatenate(std))
     basis = _gram_schmidt(cands, _DROP_TOL)
     expected = full_dim - e.dim
     if len(basis) != expected:
@@ -334,79 +318,58 @@ def multi_block_zero_diag_counterexample(num_blocks, block_size=1, tol=1e-9):
 # Ready-made subspaces
 
 
-def _zero_basis(k, n):
-    """A zero (k, n, n) basis to fill in.  Raises DomainError for a size numpy
-    cannot even describe (more bytes than a pointer can address), which it
-    would reject with a ValueError rather than a MemoryError."""
-    if k * n * n * 8 > np.iinfo(np.intp).max:
-        raise DomainError(f"a {k} x {n} x {n} basis is too large for memory")
-    return np.zeros((k, n, n))
+def _entry_subspace(ends, inside):
+    """The subspace of the upper entries (i, j) with i <= j < end_i
+    (``inside``) or end_i <= j (outside), end_i being the end of row i's
+    block; ``ends`` lists the block ends in order, n last.  The layout is
+    the module docstring's.  A basis numpy cannot describe, which it would
+    reject with a ValueError, is a DomainError, raised as soon as the count
+    of entries passes the limit: a huge n costs no loop over its blocks."""
+    n = ends[-1]
+    most = np.iinfo(np.intp).max // (8 * n * n)
+    k = 0
+    for start, end in zip(itertools.chain((0,), ends), ends):
+        s = end - start
+        k += s * (s + 1) // 2 if inside else s * (n - end)
+        if k > most:
+            raise DomainError(f"a basis of {n} x {n} matrices is too large for memory")
+    basis = np.zeros((k, n, n))
+    root_half = 1.0 / math.sqrt(2.0)
+    idx = 0
+    for start, end in zip(itertools.chain((0,), ends), ends):
+        for i in range(start, end):
+            for j in range(i, end) if inside else range(end, n):
+                basis[idx, i, j] = basis[idx, j, i] = 1.0 if i == j else root_half
+                idx += 1
+    return Subspace(n=n, basis=basis)
 
 
 def diag_subspace(n):
     """All diagonal matrices."""
     if n < 1:
         raise DomainError("dimension must be at least 1")
-    basis = _zero_basis(n, n)
-    for i in range(n):
-        basis[i, i, i] = 1.0
-    return Subspace(n=n, basis=basis)
+    return _entry_subspace(range(1, n + 1), inside=True)
 
 
 def block_diag_subspace(sizes):
     """Symmetric matrices supported on the diagonal blocks of a partition."""
-    sizes = _check_partition(sizes)
-    n = sum(sizes)
-    basis = _zero_basis(sum(s * (s + 1) // 2 for s in sizes), n)
-    root_half = 1.0 / math.sqrt(2.0)
-    idx = offset = 0
-    for s in sizes:
-        for i in range(offset, offset + s):
-            basis[idx, i, i] = 1.0
-            idx += 1
-            for j in range(i + 1, offset + s):
-                basis[idx, i, j] = basis[idx, j, i] = root_half
-                idx += 1
-        offset += s
-    return Subspace(n=n, basis=basis)
+    ends = itertools.accumulate(_check_partition(sizes))
+    return _entry_subspace(list(ends), inside=True)
 
 
 def block_antidiag_subspace(p, q):
     """Symmetric matrices with zero diagonal blocks for a two-block split."""
     if p < 1 or q < 1:
         raise DomainError("both blocks must be non-empty")
-    n = p + q
-    basis = _zero_basis(p * q, n)
-    root_half = 1.0 / math.sqrt(2.0)
-    idx = 0
-    for i in range(p):
-        for j in range(q):
-            basis[idx, i, p + j] = root_half
-            basis[idx, p + j, i] = root_half
-            idx += 1
-    return Subspace(n=n, basis=basis)
+    return _entry_subspace([p, p + q], inside=False)
 
 
 def zero_diag_block_subspace(sizes):
     """Symmetric matrices whose diagonal blocks vanish, any number of blocks."""
-    sizes = _check_partition(sizes)
-    n = sum(sizes)
-    k = (n * n - sum(s * s for s in sizes)) // 2
-    if k == 0:
+    ends = list(itertools.accumulate(_check_partition(sizes)))
+    if len(ends) == 1:
         raise DomainError("partition leaves no off-block entries")
-    basis = _zero_basis(k, n)
-    starts = np.cumsum([0] + list(sizes))
-    block_of = np.zeros(n, dtype=int)
-    for bi in range(len(sizes)):
-        block_of[starts[bi] : starts[bi + 1]] = bi
-    root_half = 1.0 / math.sqrt(2.0)
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if block_of[i] != block_of[j]:
-                basis[idx, i, j] = basis[idx, j, i] = root_half
-                idx += 1
-    return Subspace(n=n, basis=basis)
+    return _entry_subspace(ends, inside=False)
 
 
 def sl2_traceless_diag_subspace():
@@ -451,6 +414,6 @@ def load_subspace(path):
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read subspace file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in subspace file {path}: {exc}") from exc
     return subspace_from_dict(obj)

@@ -520,3 +520,48 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 3
         assert "spd:" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "manifest, args, message",
+        [
+            # Past the JSON parser's recursion limit: the whole manifest, or
+            # an inline matrix.
+            pytest.param("[" * 100000, ["batch", None], "recursion depth",
+                         id="manifest"),
+            pytest.param("", ["logm", "[" * 5000 + "]" * 5000], "inline matrix",
+                         id="inline"),
+            # Parsed, but nested too deeply to check or echo in a report.
+            pytest.param(
+                '[{"command": "dist", "a": %s, "b": "[[1]]"}]'
+                % ("[" * 990 + "]" * 990),
+                ["batch", None],
+                "nesting deeper than",
+                id="entry",
+            ),
+        ],
+    )
+    def test_deeply_nested_json_is_one_parse_report(
+        self, tmp_path, manifest, args, message
+    ):
+        # A fresh process, as from the shell, so the stack starts shallow; None
+        # stands for the manifest's path.
+        path = tmp_path / "batch.json"
+        path.write_text(manifest)
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from spdgeom.cli import main; sys.exit(main(sys.argv[1:]))",
+                *(str(path) if arg is None else arg for arg in args),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        out = json.loads(proc.stdout)
+        reports = out if isinstance(out, list) else [out]
+        assert len(reports) == 1
+        assert reports[0]["exit_code"] == 2
+        assert reports[0]["error"]["type"] == "parse"
+        assert message in reports[0]["error"]["message"]

@@ -101,6 +101,8 @@ CONTRACT = {
                                  lambda n, x, y: s.sectional_curvature_id(x, y)),
     # dexp
     "ad": Op(("sym", "gen"), lambda n, x, y: s.ad(x, y)),
+    "AdFunctionOperator": Op(("sym",), lambda n, x: s.AdFunctionOperator(x, math.cosh),
+                             _fields("base")),
     # An even phi: the output is symmetric.
     "ad_function_apply": Op(
         ("sym", "sym"),
@@ -138,6 +140,9 @@ CONTRACT = {
                      _fields("e", "f", "pi"), sized=True),
     "mostow_gl": Op(("gen",), lambda n, g: s.mostow_gl(g, _subspace(n)),
                     _fields("f", "e"), sized=True),
+    "TranslatedSubmanifold": Op(("spd",),
+                                lambda n, x: s.TranslatedSubmanifold(x, _subspace(n)),
+                                _fields("base"), sized=True),
     # The submanifold's methods take the other two operands.
     "translate_convex_submanifold": Op(
         ("spd", "spd", "sym"),
@@ -186,15 +191,12 @@ NO_MATRIX = {
     "is_spd",
 }
 
-# Dataclasses that hold what they are given: the library's results, the
-# Subspace (its basis has its own 3-d check), and AdFunctionOperator and
-# TranslatedSubmanifold, whose operands are checked where they are applied
-# (ad_function_apply; the methods in translate_convex_submanifold's entry).
+# Dataclasses that hold what they are given: the library's results and the
+# Subspace (its basis has its own 3-d check).
 RECORDS = {
-    "EigenDecomposition", "AdFunctionOperator", "Subspace", "LtsReport",
-    "LtsWitness", "ProjectionResult", "MostowFactors", "GlFactors",
-    "TranslatedSubmanifold", "DiagProjectionReport", "DadFactors", "AdaFactors",
-    "BlockSplit", "Sl2Factors",
+    "EigenDecomposition", "Subspace", "LtsReport", "LtsWitness",
+    "ProjectionResult", "MostowFactors", "GlFactors", "DiagProjectionReport",
+    "DadFactors", "AdaFactors", "BlockSplit", "Sl2Factors",
 }
 
 

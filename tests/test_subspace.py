@@ -132,6 +132,37 @@ class TestBuild:
         with pytest.raises(DomainError, match="too large for memory"):
             make()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ready_made_bases_follow_the_entry_layout(self, seed):
+        # Each basis element is one upper entry (i, j) of the partition, inside
+        # its diagonal blocks or outside them, in row-major order, with weight
+        # 1 on the diagonal and 1/sqrt(2) on both entries of an off-diagonal
+        # pair.  The expected entries come from block labels, not block ends.
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            sizes = [int(s) for s in rng.integers(1, 5, int(rng.integers(1, 5)))]
+            n = sum(sizes)
+            cases = [
+                (block_diag_subspace(sizes), sizes, True),
+                (diag_subspace(n), [1] * n, True),
+            ]
+            if len(sizes) > 1:
+                cases.append((zero_diag_block_subspace(sizes), sizes, False))
+            if len(sizes) == 2:
+                cases.append((block_antidiag_subspace(*sizes), sizes, False))
+            for sub, parts, inside in cases:
+                label = np.repeat(np.arange(len(parts)), parts)
+                entries = [
+                    (i, j) for i in range(n) for j in range(i, n)
+                    if (label[i] == label[j]) == inside
+                ]
+                expected = np.zeros((len(entries), n, n))
+                for idx, (i, j) in enumerate(entries):
+                    weight = 1.0 if i == j else 1.0 / math.sqrt(2.0)
+                    expected[idx, i, j] = expected[idx, j, i] = weight
+                assert sub.n == n
+                assert np.array_equal(sub.basis, expected)
+
     def test_non_finite_basis_rejected(self):
         with pytest.raises(DomainError):
             Subspace(n=2, basis=np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
@@ -186,7 +217,10 @@ class TestComplement:
         full = build_subspace(
             [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), OFFDIAG]
         )
-        assert orthogonal_complement(full).dim == 0
+        empty = orthogonal_complement(full)
+        assert empty.dim == 0
+        y = np.array([[1.0, 2.0], [2.0, -3.0]])
+        assert np.array_equal(project_trace(empty, y), np.zeros((2, 2)))
 
     def test_two_block_complement_pairing(self):
         e2 = block_diag_subspace([1, 1])

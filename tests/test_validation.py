@@ -215,6 +215,15 @@ def test_projection_decomposes_x_once(eig_count, sub):
     assert eigs == 4 + 2 * proj.iterations
 
 
+def test_initial_of_another_size_fails_before_any_work(eig_count):
+    # Neither x nor the start is decomposed, nor E's brackets checked.
+    sub = diag_subspace(3)
+    with pytest.raises(DomainError, match=r"mismatch: \(3, 3\) against \(2, 2\)"):
+        eig_count(geodesic_project, X, sub, initial=I2)
+    assert eig_count.calls == []
+    assert sub._lts_cache == {}
+
+
 def test_mostow_spd_adds_nothing_after_the_projection(eig_count, monkeypatch):
     sub = diag_subspace(3)
     alone, _ = eig_count(geodesic_project, X, sub)
