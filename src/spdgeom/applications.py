@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import mostow_gl, mostow_spd
+from .decompose import _mostow_gl, _project, mostow_spd
 from .errors import ConvergenceError, DomainError
 from .matfun import (
     as_sym,
     frobenius,
     require_spd,
     spd_exp,
-    spd_log,
     sym_eigen,
     _as_square,
     _map_checked,
@@ -191,13 +190,9 @@ def _log_factors(sigma, partition, diagonal, opts):
     """(log e, log f) of Sigma = e f e over the block-diagonal subspace
     (``diagonal``) or the block-anti-diagonal one; log f must have left it."""
     partition, sigma = _two_block(partition, sigma)
-    if diagonal:
-        e_sub = block_diag_subspace(partition.sizes)
-    else:
-        e_sub = block_antidiag_subspace(*partition.sizes)
-    factors = mostow_spd(sigma, e_sub, **opts)
-    log_e = spd_log(factors.e)
-    log_f = spd_log(factors.f)
+    sizes = partition.sizes
+    e_sub = block_diag_subspace(sizes) if diagonal else block_antidiag_subspace(*sizes)
+    log_e, log_f = _project(sigma, e_sub, **opts)[0].logs()
     inside = block_diag_part if diagonal else off_block_part
     stray = frobenius(inside(log_f, partition))
     if stray > 1e-9 * max(1.0, frobenius(log_f)):
@@ -298,9 +293,8 @@ def sl2_decompose(g, **opts):
     det = float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
     if abs(det - 1.0) > 1e-9:
         raise DomainError(f"determinant must be 1, got {det!r}")
-    factors = mostow_gl(g, sl2_traceless_diag_subspace(), **opts)
-    log_f = spd_log(factors.f)
-    log_e = spd_log(factors.e)
+    factors, cur = _mostow_gl(g, sl2_traceless_diag_subspace(), opts)
+    log_e, log_f = cur.logs(0.5)  # the factor f of g is z^{1/2}
     # log f lies in span{I, offdiag} with zero trace part (det f = 1), and
     # log e in span{diag(1, -1)}; deviations signal a failed factorization.
     checks = (

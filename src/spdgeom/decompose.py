@@ -21,12 +21,14 @@ as the correctness certificate.
 The projection yields the two-sided factorization x = e f e with
 e = pi(x)^{1/2} in exp(E) and f in exp(E^perp), and the global factorization
 g = k f e of any invertible matrix with k orthogonal, obtained by factoring
-g^T g = e f^2 e.
+g^T g = e f^2 e.  Both are read off the final iterate: e = exp(w/2), f = z =
+y^{-1/2} x y^{-1/2}, log e = w/2 and log f = log z come from the iterate's
+eigendecompositions of w and z, with none after the projection's.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .dexp import _kernel_sinh_ratio, _kernel_u_coth_half
 from .errors import ConvergenceError, DomainError
 from .manifold import _pull_back
 from .matfun import (
-    EigenDecomposition,
     as_sym,
     frobenius,
     require_spd,
@@ -46,6 +47,7 @@ from .matfun import (
     _check_spd_spectrum,
     _one_size,
     _rebuild,
+    _spd_eigen,
 )
 from .subspace import Subspace, lts_check, project_trace
 
@@ -57,9 +59,6 @@ class ProjectionResult:
     pi: np.ndarray
     iterations: int
     residual: float
-    # pi = exp(w): the eigendecomposition of w gives the factorizations
-    # pi^{+-1/2} without decomposing pi again.
-    _eig_w: EigenDecomposition = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +109,17 @@ def _require_lts(e_sub, unchecked):
 
 
 class _Iterate:
-    """y = exp(w), w in E, with the gradient and Hessian data of d^2(., x)/2."""
+    """y = exp(w), w in E, and z = y^{-1/2} x y^{-1/2}, both with their
+    eigendecompositions, and the gradient and Hessian data of d^2(., x)/2.
+    At the projection pi = y, x = e f e with e = exp(w/2) and f = z."""
 
     def __init__(self, x, e_sub, w):
         self.w = w
         self.basis = e_sub.basis
         self.eig_w = sym_eigen(w)
-        y_inv_half = _rebuild(self.eig_w, np.exp(-self.eig_w.lam / 2.0))
-        eig_z = sym_eigen(as_sym(y_inv_half @ x @ y_inv_half))
+        y_inv_half = self.exp_w(-0.5)
+        self.z = as_sym(y_inv_half @ x @ y_inv_half)
+        self.eig_z = eig_z = sym_eigen(self.z)
         lam = eig_z.lam
         cond = lam[0] / lam[-1] if lam[-1] > 0 else math.inf
         _check_spd_spectrum(
@@ -129,6 +131,14 @@ class _Iterate:
         self.basis_q = (eig_z.q.T @ e_sub.basis @ eig_z.q).reshape(e_sub.dim, -1)
         self.grad = self.basis_q[:, :: x.shape[0] + 1] @ self.mu
         self.residual = frobenius(self.grad)
+
+    def exp_w(self, t):
+        """y^t = exp(t w)."""
+        return _rebuild(self.eig_w, np.exp(t * self.eig_w.lam))
+
+    def logs(self, t=1.0):
+        """(log e, log f^t) = (w/2, t log z) of x = e f e at the projection."""
+        return self.w / 2.0, _rebuild(self.eig_z, t * self.mu)
 
     def hessian(self):
         """H_ij = <B_i, phi(ad u) B_j>, phi(t) = (t/2) coth(t/2)."""
@@ -174,19 +184,41 @@ def _advance(x, e_sub, cur):
     return move((1.0 / bound) * cur.grad), False
 
 
+def _project(
+    x, e_sub, eig_x=None, /, *, tol=1e-11, max_iter=500, unchecked=False, initial=None
+):
+    """``geodesic_project``'s final iterate and iteration count; ``eig_x``, if
+    given, is x's checked eigendecomposition."""
+    x = _require_pair(x, e_sub)
+    if not (tol > 0 and isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise DomainError("tol must be positive and max_iter an integer >= 1")
+    if initial is not None:
+        initial = _one_size(x, _as_square(initial))[1]
+    eig_x = _spd_eigen(x) if eig_x is None else eig_x
+    start = _rebuild(eig_x, np.log(eig_x.lam)) if initial is None else spd_log(initial)
+    _require_lts(e_sub, unchecked)
+
+    cur = _Iterate(x, e_sub, project_trace(e_sub, start))
+    for iteration in range(max_iter):
+        if cur.residual <= tol:
+            return cur, iteration
+        if iteration + 1 < max_iter:
+            cur, _ = _advance(x, e_sub, cur)
+    raise ConvergenceError(
+        f"projection did not reach residual {tol:.1e} in {max_iter} iterations "
+        f"(last residual {cur.residual:.3e})",
+        residual=cur.residual,
+        iterations=max_iter,
+    )
+
+
 def geodesic_project(
-    x,
-    e_sub,
-    *,
-    tol=1e-11,
-    max_iter=500,
-    unchecked=False,
-    initial=None,
+    x, e_sub, *, tol=1e-11, max_iter=500, unchecked=False, initial=None
 ):
     """Closest point of exp(E) to x in the geodesic distance, by damped
     Newton: one eigendecomposition of x at the start (its logarithm, which
-    also checks x), then two per step, four with the fallback.
-    ``mostow_spd`` adds none after the projection.
+    also checks x), then two per step, four with the fallback.  The
+    factorizations read their factors off the final iterate and add none.
 
     Parameters
     ----------
@@ -212,53 +244,39 @@ def geodesic_project(
         If the residual does not fall below ``tol`` within ``max_iter``
         iterations; carries the last residual.
     """
-    x = _require_pair(x, e_sub)
-    if not (tol > 0 and isinstance(max_iter, numbers.Integral) and max_iter >= 1):
-        raise DomainError("tol must be positive and max_iter an integer >= 1")
-    if initial is None:
-        start = spd_log(x)
-    else:
-        initial = _one_size(x, _as_square(initial))[1]
-        require_spd(x)
-        start = spd_log(initial)
-    _require_lts(e_sub, unchecked)
-
-    cur = _Iterate(x, e_sub, project_trace(e_sub, start))
-    for iteration in range(max_iter):
-        if cur.residual <= tol:
-            pi = _rebuild(cur.eig_w, np.exp(cur.eig_w.lam))
-            return ProjectionResult(pi, iteration, cur.residual, cur.eig_w)
-        if iteration + 1 < max_iter:
-            cur, _ = _advance(x, e_sub, cur)
-    raise ConvergenceError(
-        f"projection did not reach residual {tol:.1e} in {max_iter} iterations "
-        f"(last residual {cur.residual:.3e})",
-        residual=cur.residual,
-        iterations=max_iter,
+    cur, iterations = _project(
+        x, e_sub, tol=tol, max_iter=max_iter, unchecked=unchecked, initial=initial
     )
-
-
-def _factor(x, proj):
-    """x = e f e with e = exp(w/2) taken from the projection pi = exp(w);
-    also returns e^{-1}."""
-    half = np.exp(proj._eig_w.lam / 2.0)
-    e, e_inv = _rebuild(proj._eig_w, half), _rebuild(proj._eig_w, 1.0 / half)
-    f = as_sym(e_inv @ x @ e_inv)
-    factors = MostowFactors(
-        e=e, f=f, pi=proj.pi, iterations=proj.iterations, residual=proj.residual
-    )
-    return factors, e_inv
+    return ProjectionResult(cur.exp_w(1.0), iterations, cur.residual)
 
 
 def mostow_spd(x, e_sub, **opts):
     """Two-sided factorization x = e f e through the geodesic projection.
 
-    ``e = pi(x)^{1/2}`` lies in exp(E) and ``f = e^{-1} x e^{-1}`` in
-    exp(E^perp); the converged projection residual bounds the E-component of
-    log f.  No eigendecomposition runs after the projection's.
+    ``e = pi(x)^{1/2} = exp(w/2)`` lies in exp(E) and ``f = e^{-1} x e^{-1}``,
+    the final iterate's z, in exp(E^perp); the converged projection residual
+    bounds the E-component of log f.  No eigendecomposition runs after the
+    projection's.
     """
-    x = as_sym(x)
-    return _factor(x, geodesic_project(x, e_sub, **opts))[0]
+    cur, iterations = _project(x, e_sub, **opts)
+    e, pi = cur.exp_w(0.5), cur.exp_w(1.0)
+    return MostowFactors(e, cur.z, pi, iterations, cur.residual)
+
+
+def _mostow_gl(g, e_sub, opts):
+    """``mostow_gl`` and the final iterate of the projection of g^T g."""
+    g = _as_square(g)
+    s = as_sym(g.T @ g)
+    eig = sym_eigen(s)
+    _check_spd_spectrum(
+        eig.lam, "g^T g, whose eigenvalues are the squared singular values of g,"
+    )
+    cur, iterations = _project(s, e_sub, eig, **opts)
+    # g^T g = e z e, so f = z^{1/2} and k = g e^{-1} z^{-1/2}.
+    root = np.sqrt(cur.eig_z.lam)
+    k = g @ cur.exp_w(-0.5) @ _rebuild(cur.eig_z, 1.0 / root)
+    f, e = _rebuild(cur.eig_z, root), cur.exp_w(0.5)
+    return GlFactors(k, f, e, iterations, cur.residual), cur
 
 
 def mostow_gl(g, e_sub, **opts):
@@ -266,29 +284,16 @@ def mostow_gl(g, e_sub, **opts):
 
     Follows from the two-sided factorization of g^T g = e f^2 e: the square
     root of the middle factor stays in exp(E^perp) because that subspace is
-    closed under halving of logarithms.
+    closed under halving of logarithms.  The projection starts from the
+    eigendecomposition of g^T g that checks it, and f^{+-1/2} come from the
+    final iterate's z.
 
     g^T g must pass the positive-definiteness floor of every SPD input, on
     the squares of g's singular values: sigma_min > 1e-6 * max(1, sigma_max).
     The floor is absolute below 1, so a well-conditioned g of norm below
     1e-6 is refused too; scale it up first.
     """
-    g = _as_square(g)
-    s = as_sym(g.T @ g)
-    eig = sym_eigen(s)
-    _check_spd_spectrum(
-        eig.lam, "g^T g, whose eigenvalues are the squared singular values of g,"
-    )
-    factors, e_inv = _factor(s, geodesic_project(s, e_sub, **opts))
-    f, f_inv = spd_sqrt_pair(factors.f)
-    k = g @ e_inv @ f_inv
-    return GlFactors(
-        k=k,
-        f=f,
-        e=factors.e,
-        iterations=factors.iterations,
-        residual=factors.residual,
-    )
+    return _mostow_gl(g, e_sub, opts)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -285,16 +285,29 @@ def require_spd(x):
     return x
 
 
-def spd_exp(a):
-    """Matrix exponential of a symmetric matrix; always positive definite."""
-    eig = sym_eigen(a)
-    with np.errstate(over="ignore"):
-        values = np.exp(eig.lam)
-    if not np.all(np.isfinite(values)):
-        raise DomainError(
-            f"matrix exponential overflows at eigenvalue {eig.lam[0]:.6e}"
+def _exp_spectrum(exponents, lam, fn):
+    """exp of the exponents, one per eigenvalue in lam, as the spectrum of a
+    positive-definite result: DomainError naming ``fn`` and the first
+    eigenvalue where it overflows, underflows to zero or is undefined."""
+    with np.errstate(over="ignore", under="ignore"):
+        values = np.exp(exponents)
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        i = bad[0]
+        how = {0.0: "underflows to zero", math.inf: "overflows"}.get(
+            values[i], "is undefined"
         )
-    return _rebuild(eig, values)
+        raise DomainError(f"{fn} {how} at eigenvalue {lam[i]:.6e}")
+    return values
+
+
+def spd_exp(a):
+    """Matrix exponential of a symmetric matrix; always positive definite.
+
+    DomainError where an eigenvalue's exponential overflows or underflows to
+    zero."""
+    eig = sym_eigen(a)
+    return _rebuild(eig, _exp_spectrum(eig.lam, eig.lam, "matrix exponential"))
 
 
 def spd_log(x):
@@ -329,6 +342,12 @@ def spd_inv(x):
 
 
 def spd_pow(x, t):
-    """Real matrix power x^t of a positive-definite matrix."""
+    """Real matrix power x^t of a positive-definite matrix.
+
+    DomainError where an eigenvalue's power overflows, underflows to zero or
+    is undefined (t infinite at eigenvalue 1)."""
     eig = _spd_eigen(x)
-    return _rebuild(eig, np.exp(t * np.log(eig.lam)))
+    with np.errstate(invalid="ignore"):
+        exponents = t * np.log(eig.lam)
+    what = f"matrix power x^t (t = {float(t):.6g})"
+    return _rebuild(eig, _exp_spectrum(exponents, eig.lam, what))

@@ -34,11 +34,14 @@ from .matfun import as_sym, frobenius, _one_size
 # Generators whose orthogonal residual falls below this fraction of the
 # largest generator norm are treated as dependent and dropped.
 _DROP_TOL = 1e-10
+# A basis is taken as symmetric and orthonormal up to this entrywise error.
+_ORTHO_TOL = 1e-10
 
 
 @dataclass(eq=False)
 class Subspace:
-    """Orthonormal basis of a linear subspace of symmetric n x n matrices.
+    """Orthonormal basis of a linear subspace of symmetric n x n matrices,
+    checked on construction (DomainError otherwise).
 
     Equality is identity: the generated ``__eq__`` would compare arrays."""
 
@@ -59,6 +62,16 @@ class Subspace:
             )
         if not np.all(np.isfinite(self.basis)):
             raise DomainError("basis has non-finite entries")
+        # Projections and the bracket check take the basis as orthonormal.
+        skew = np.abs(self.basis - self.basis.transpose(0, 2, 1)).max(initial=0.0)
+        flat = self.basis.reshape(self.dim, self.n * self.n)
+        off = np.abs(flat @ flat.T - np.eye(self.dim)).max(initial=0.0)
+        if skew > _ORTHO_TOL or off > _ORTHO_TOL:
+            raise DomainError(
+                "basis must be symmetric and orthonormal (asymmetry "
+                f"{skew:.1e}, Gram matrix off the identity by {off:.1e}); "
+                "build_subspace orthonormalizes generators"
+            )
 
 
 def build_subspace(generators, drop_tol=_DROP_TOL):

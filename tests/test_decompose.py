@@ -5,6 +5,7 @@ coarse grid search over exp(diag(u1, u2)) followed by coordinate-wise
 golden-section refinement, with all distances evaluated through scipy.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -16,9 +17,12 @@ from conftest import random_invertible, random_orthogonal, random_spd, random_sy
 from spdgeom import (
     ConvergenceError,
     DomainError,
+    ProjectionResult,
+    ada_decompose,
     block_antidiag_subspace,
     block_diag_subspace,
     build_subspace,
+    dad_decompose,
     diag_subspace,
     distance,
     frobenius,
@@ -29,6 +33,8 @@ from spdgeom import (
     orthogonal_complement,
     project_trace,
     riem_log,
+    sl2_decompose,
+    sl2_traceless_diag_subspace,
     spd_exp,
     spd_log,
     spd_sqrt,
@@ -485,6 +491,54 @@ class TestMostowGl:
             with pytest.raises(DomainError, match="singular") as exc_info:
                 mostow_gl(np.zeros((2, 2)), diag_subspace(2))
         assert "nan" not in str(exc_info.value)
+
+
+def assert_rel(a, b, rtol=1e-12):
+    assert frobenius(a - b) <= rtol * frobenius(b)
+
+
+class TestFactorsFromTheIterate:
+    """The factorizations read e, f and the logarithms log e = w/2 and
+    log f = log z off the projection's final iterate y = exp(w), with
+    z = y^{-1/2} x y^{-1/2}; each factor agrees with the formula on the
+    factors that it replaces."""
+
+    def test_projection_result_holds_no_more(self):
+        names = [f.name for f in dataclasses.fields(ProjectionResult)]
+        assert names == ["pi", "iterations", "residual"]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_factors_match_their_formulas(self, n):
+        rng = np.random.default_rng([1300, n])
+        p = (n // 2, n - n // 2)
+        for _ in range(3):
+            x = random_spd(rng, n, cond=1e3)
+            dad, ada = dad_decompose(x, p), ada_decompose(x, p)
+            for e_sub, log_e, log_f in (
+                (block_diag_subspace(p), dad.d, dad.a),
+                (block_antidiag_subspace(*p), ada.a, ada.d),
+            ):
+                m = mostow_spd(x, e_sub)
+                e_inv = np.linalg.inv(m.e)
+                assert_rel(m.f, e_inv @ x @ e_inv)
+                assert_rel(log_e, spd_log(m.e))
+                assert_rel(log_f, spd_log(m.f))
+            g = random_invertible(rng, n)
+            out = mostow_gl(g, diag_subspace(n))
+            e_inv = np.linalg.inv(out.e)
+            assert_rel(out.f, spd_sqrt(e_inv @ g.T @ g @ e_inv))
+            assert_rel(out.k, g @ e_inv @ np.linalg.inv(out.f))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sl2_logs_match_their_formulas(self, seed):
+        g = random_invertible(np.random.default_rng([1301, seed]), 2)
+        g[:, 0] *= np.sign(np.linalg.det(g))
+        g /= math.sqrt(np.linalg.det(g))
+        out = sl2_decompose(g)
+        gl = mostow_gl(g, sl2_traceless_diag_subspace())
+        assert_rel(np.array([out.alpha]), spd_log(gl.e)[0, 0])
+        assert_rel(np.array([out.beta]), spd_log(gl.f)[0, 1])
+        assert_rel(out.k, gl.k)
 
 
 class TestTranslatedSubmanifold:

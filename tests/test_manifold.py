@@ -6,6 +6,7 @@ code under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ class TestGeodesic:
         seg = GeodesicSegment(np.eye(2), np.diag([4.0, 1.0]))
         np.testing.assert_allclose(geodesic(seg, 2.0), np.diag([16.0, 1.0]), atol=1e-10)
         np.testing.assert_allclose(geodesic(seg, -1.0), np.diag([0.25, 1.0]), atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1e4, math.inf, -math.inf])
+    def test_point_beyond_the_floats_is_a_domain_error(self, t):
+        # gamma(t) would round to the zero matrix or overflow.
+        x = np.array([[4.0, 1.0], [1.0, 3.0]])
+        y = np.array([[2.0, 0.3], [0.3, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^matrix power x\^t"):
+                geodesic((x, y), t)
 
     def test_constant_speed(self):
         rng = np.random.default_rng(4)

@@ -226,6 +226,43 @@ class TestExpLog:
                 warnings.simplefilter("error")
                 spd_exp(np.diag([1000.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda: spd_exp(-1000.0 * np.eye(2)),
+                r"^matrix exponential underflows to zero at eigenvalue -1\.0+e\+03$",
+                id="exp-underflow",
+            ),
+            pytest.param(
+                lambda: spd_pow(1e3 * np.array([[4.0, 1.0], [1.0, 3.0]]), 300),
+                r"^matrix power x\^t \(t = 300\) overflows at eigenvalue 4\.618",
+                id="pow-overflow",
+            ),
+            pytest.param(
+                lambda: spd_pow(np.diag([0.9, 0.5]), 1e4),
+                r"underflows to zero at eigenvalue 9\.0+e-01$",
+                id="pow-underflow",
+            ),
+            pytest.param(
+                lambda: spd_pow(np.diag([2.0, 1.0]), -math.inf),
+                r"\(t = -inf\) underflows to zero at eigenvalue 2\.0+e\+00$",
+                id="pow-minus-inf",
+            ),
+            pytest.param(
+                lambda: spd_pow(np.eye(2), math.inf),
+                r"\(t = inf\) is undefined at eigenvalue 1\.0+e\+00$",
+                id="pow-inf-at-one",
+            ),
+        ],
+    )
+    def test_spectrum_that_leaves_the_floats_is_a_domain_error(self, call, message):
+        # The result would hold inf, NaN or a zero eigenvalue: not SPD.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                call()
+
     def test_exp_output_is_spd(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

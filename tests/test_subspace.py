@@ -167,6 +167,29 @@ class TestBuild:
         with pytest.raises(DomainError):
             Subspace(n=2, basis=np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
 
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            # project_trace would map [[1, .5], [.5, 3]] to diag(4, 3).
+            pytest.param(lambda b: [2.0 * b[0], b[1]], id="scaled"),
+            # The projection's Hessian would be singular.
+            pytest.param(lambda b: [b[0], b[0]], id="repeated"),
+            pytest.param(lambda b: [b[0], b[0] + 1e-9 * b[1]], id="near-repeated"),
+            pytest.param(lambda b: [b[0] + [[0.0, 0.1], [0.0, 0.0]]], id="skew"),
+        ],
+    )
+    def test_basis_that_is_not_orthonormal_rejected(self, basis):
+        with pytest.raises(DomainError, match="symmetric and orthonormal"):
+            Subspace(n=2, basis=basis(diag_subspace(2).basis))
+
+    def test_orthonormal_basis_up_to_rounding_accepted(self):
+        # A rotated orthonormal basis, as build_subspace returns it.
+        b = diag_subspace(2).basis
+        c, s = math.cos(0.3), math.sin(0.3)
+        sub = Subspace(n=2, basis=[c * b[0] + s * b[1], c * b[1] - s * b[0]])
+        assert sub.dim == 2
+        assert Subspace(n=2, basis=np.zeros((0, 2, 2))).dim == 0
+
 
 class TestProjection:
     def test_member_is_fixed(self):

@@ -45,7 +45,6 @@ from spdgeom import (
     tau_inv,
     translate_convex_submanifold,
 )
-import spdgeom.decompose as decompose
 
 I2 = np.eye(2)
 A = np.diag([2.0, 1.0])
@@ -172,6 +171,7 @@ def test_ill_conditioned_iterate_is_named_in_the_message():
 
 
 X = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+SL2 = np.array([[2.0, 1.0], [1.0, 1.0]])
 Y = np.array([[2.0, -0.3, 0.1], [-0.3, 1.5, 0.4], [0.1, 0.4, 3.0]])
 Z = np.array([[1.0, 0.2, 0.0], [0.2, 2.5, -0.6], [0.0, -0.6, 1.8]])
 # Block-diagonal and block-anti-diagonal for the partition (1, 2).
@@ -192,6 +192,12 @@ A12 = np.array([[0.0, 0.5, -0.3], [0.5, 0.0, 0.0], [-0.3, 0.0, 0.0]])
         pytest.param(diag_projection_compare, (X,), 7, id="diag_projection_compare"),
         # cosh and sinh of A from one decomposition, then exp(D).
         pytest.param(cosh_sinh_split, (D12, A12, (1, 2)), 2, id="cosh_sinh_split"),
+        # Each its projection alone, 3 + 2 * iterations (2, 2 and 3 here, of
+        # X onto the blocks (1, 2) or off them, and of g^T g): the factors'
+        # logarithms are w/2 and log z of the final iterate.
+        pytest.param(dad_decompose, (X, (1, 2)), 7, id="dad_decompose"),
+        pytest.param(ada_decompose, (X, (1, 2)), 7, id="ada_decompose"),
+        pytest.param(sl2_decompose, (SL2,), 9, id="sl2_decompose"),
     ],
 )
 def test_eigendecompositions_per_op(eig_count, fn, args, expected):
@@ -224,29 +230,20 @@ def test_initial_of_another_size_fails_before_any_work(eig_count):
     assert sub._lts_cache == {}
 
 
-def test_mostow_spd_adds_nothing_after_the_projection(eig_count, monkeypatch):
+def test_mostow_spd_adds_nothing_after_the_projection(eig_count):
+    # e, pi and f are read off the projection's final iterate.
     sub = diag_subspace(3)
     alone, _ = eig_count(geodesic_project, X, sub)
-    project = decompose.geodesic_project
-    seen = []
-
-    def recorded(*args, **kwargs):
-        result = project(*args, **kwargs)
-        seen.append(len(eig_count.calls))
-        return result
-
-    monkeypatch.setattr(decompose, "geodesic_project", recorded)
-    eigs, _ = eig_count(mostow_spd, X, sub)
-    assert seen == [alone]
-    assert eigs == alone
+    assert eig_count(mostow_spd, X, sub)[0] == alone
 
 
 def test_mostow_gl_decomposes_the_middle_factor_once(eig_count):
     g = np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 1.0], [0.0, -1.0, 2.0]])
     sub = diag_subspace(3)
     projection, _ = eig_count(geodesic_project, g.T @ g, sub)
-    # The singularity check of g^T g, the projection, and f^{1/2} with f^{-1/2}.
-    assert eig_count(mostow_gl, g, sub)[0] == projection + 2
+    # The singularity check of g^T g gives the start log(g^T g) too, and
+    # f^{+-1/2} come from the final iterate: the projection's count exactly.
+    assert eig_count(mostow_gl, g, sub)[0] == projection
 
 
 # ---------------------------------------------------------------------------
