@@ -4,8 +4,11 @@ Every invocation writes a single JSON report to stdout and human-readable
 notes to stderr; usage errors and unreadable manifests get a report too.
 Matrix arguments accept either a file path (JSON ``{"n": int, "data":
 [[...]]}`` or bare ``[[...]]``, CSV rows without a header) or an inline JSON
-array.  Exit codes: 0 success, 2 parse/format error, 3 domain/precondition
-error, 4 non-convergence.
+array.  Matrices, ``file:`` subspaces and manifests share one reader: a NUL
+byte in a path, a file that is not UTF-8, invalid JSON or a number out of
+range (a 400-digit integer, ``"n": 1e400``) is a parse error.  Exit codes:
+0 success, 2 parse/format error, 3 domain/precondition error, 4
+non-convergence.
 
 The commands are the rows of ``COMMANDS``, which build the argument parser,
 check ``spd batch`` entries and drive the one runner.  Batch keys mirror the
@@ -30,8 +33,9 @@ import numpy as np
 
 from .decompose import geodesic_project, mostow_gl, mostow_spd
 from .errors import ConvergenceError, DomainError, ParseError, SpdGeomError
+from .errors import _convert, _parse_json, _read_text
 from .manifold import distance, geodesic, sectional_curvature_id
-from .matfun import frobenius, spd_exp, spd_log, _one_size
+from .matfun import as_sym, frobenius, spd_exp, spd_log, _as_square, _one_size
 from .subspace import (
     block_antidiag_subspace,
     block_diag_subspace,
@@ -58,10 +62,7 @@ def _default_tol():
     env = os.environ.get("SPD_TOL")
     if env is None:
         return 1e-11
-    try:
-        return float(env)
-    except ValueError as exc:
-        raise ParseError(f"SPD_TOL={env!r} is not a number: {exc}") from exc
+    return _convert(float, env, f"SPD_TOL={env!r} is not a number")
 
 
 # ---------------------------------------------------------------------------
@@ -69,77 +70,53 @@ def _default_tol():
 
 
 def _parse_rows(rows, origin):
+    m = _convert(_floats, rows, f"{origin}: not a numeric matrix")
     try:
-        m = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{origin}: not a numeric matrix: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ParseError(f"{origin}: expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ParseError(f"{origin}: matrix contains non-finite entries")
-    return m
+        return _as_square(m)
+    except DomainError as exc:
+        raise ParseError(f"{origin}: {exc}") from exc
+
+
+def _floats(rows):
+    return np.asarray(rows, dtype=float)
 
 
 def _read_csv(text, origin):
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rows.append([float(tok) for tok in line.replace(",", " ").split()])
-        except ValueError as exc:
-            raise ParseError(f"{origin}: bad CSV row {line!r}: {exc}") from exc
-    if not rows:
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
         raise ParseError(f"{origin}: empty CSV payload")
-    return rows
+    return [_convert(_csv_row, ln, f"{origin}: bad CSV row {ln!r}") for ln in lines]
+
+
+def _csv_row(line):
+    return [float(tok) for tok in line.replace(",", " ").split()]
 
 
 def _read_json_matrix(obj, origin):
-    if isinstance(obj, dict):
-        if "data" not in obj:
-            raise ParseError(f'{origin}: JSON object needs a "data" field')
-        rows = obj["data"]
-        m = _parse_rows(rows, origin)
-        try:
-            declared = int(obj.get("n", m.shape[0]))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(
-                f"{origin}: declared n={obj['n']!r} is not an integer"
-            ) from exc
-        if declared != m.shape[0]:
-            raise ParseError(
-                f"{origin}: declared n={obj['n']} but data is {m.shape[0]} x {m.shape[1]}"
-            )
-        return m
     if isinstance(obj, list):
         return _parse_rows(obj, origin)
-    raise ParseError(f"{origin}: JSON payload must be an object or an array")
+    if not isinstance(obj, dict):
+        raise ParseError(f"{origin}: JSON payload must be an object or an array")
+    if "data" not in obj:
+        raise ParseError(f'{origin}: JSON object needs a "data" field')
+    m = _parse_rows(obj["data"], origin)
+    n = obj.get("n", len(m))
+    if _convert(int, n, f"{origin}: declared n={n!r} is not an integer") != len(m):
+        raise ParseError(f"{origin}: declared n={n} but data is {len(m)} x {len(m)}")
+    return m
 
 
 def read_matrix(source, fmt=None):
     """Read a square matrix from a path or inline JSON text."""
-    stripped = source.strip()
-    if stripped.startswith("["):
-        try:
-            obj = json.loads(stripped)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"inline matrix: invalid JSON: {exc}") from exc
+    if source.strip().startswith("["):
+        obj = _parse_json(source.strip(), "inline matrix")
         return _read_json_matrix(obj, "inline matrix"), "<inline>"
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {source}: {exc}") from exc
+    text = _read_text(source)
     if fmt is None:
         fmt = "csv" if source.lower().endswith(".csv") else "json"
     if fmt == "csv":
         return _parse_rows(_read_csv(text, source), source), source
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"{source}: invalid JSON: {exc}") from exc
-    return _read_json_matrix(obj, source), source
+    return _read_json_matrix(_parse_json(text, source), source), source
 
 
 def symmetrize_input(m, origin, warnings):
@@ -156,10 +133,8 @@ def symmetrize_input(m, origin, warnings):
             f"{np.abs(m - m.T).max():.3e}, norm {scale:.3e})"
         )
     if asym > 0.0:
-        warnings.append(
-            f"{origin}: symmetrized input (asymmetry {asym:.3e})"
-        )
-    return (m + m.T) / 2.0
+        warnings.append(f"{origin}: symmetrized input (asymmetry {asym:.3e})")
+    return as_sym(m)
 
 
 def _digest(m):
@@ -186,13 +161,16 @@ def parse_subspace_spec(spec, n):
     if spec.startswith("file:"):
         path = spec[len("file:") :]
         return load_subspace(path), path
-    kind, _, _ = spec.partition(":")
+    kind, _, tail = spec.partition(":")
     if not spec.startswith(("block:", "antiblock:")):
         raise ParseError(
             f"unknown subspace spec {spec!r}; expected diag, block:..., "
             "antiblock:p,q or file:PATH"
         )
-    sizes = _parse_sizes(spec)
+    what = f"bad block sizes in {spec!r}"
+    sizes = [_convert(int, tok, what) for tok in tail.split(",") if tok]
+    if not sizes:
+        raise ParseError(f"no block sizes in {spec!r}")
     if kind == "antiblock" and len(sizes) != 2:
         raise ParseError(f"antiblock spec needs exactly two sizes, got {spec!r}")
     if sum(sizes) != n:
@@ -202,17 +180,6 @@ def parse_subspace_spec(spec, n):
     if kind == "block":
         return block_diag_subspace(sizes), None
     return block_antidiag_subspace(*sizes), None
-
-
-def _parse_sizes(spec):
-    _, _, tail = spec.partition(":")
-    try:
-        sizes = [int(tok) for tok in tail.split(",") if tok]
-    except ValueError as exc:
-        raise ParseError(f"bad block sizes in {spec!r}: {exc}") from exc
-    if not sizes:
-        raise ParseError(f"no block sizes in {spec!r}")
-    return sizes
 
 
 def _lts_payload(report):
@@ -277,12 +244,10 @@ class Command:
 
 def _lts(spec, opt):
     if spec.startswith("file:"):
-        sub = load_subspace(spec[len("file:") :])
-    else:
-        n = opt("n")
-        if n is None:
-            raise ParseError("--n is required for built-in subspace specs")
-        sub, _ = parse_subspace_spec(spec, n)
+        n = None
+    elif (n := opt("n")) is None:
+        raise ParseError("--n is required for built-in subspace specs")
+    sub, _ = parse_subspace_spec(spec, n)
     report = lts_check(sub, tol=opt("tol"))
     return (
         {"subspace": spec, "dim": sub.dim, "n": sub.n},
@@ -390,10 +355,7 @@ def _option(params, key, opt):
         return opt.fallback()
     if value is None:
         return opt.default
-    try:
-        converted = opt.type(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad value for option {key!r}: {exc}") from exc
+    converted = _convert(opt.type, value, f"bad value for option {key!r}")
     if _unfit(converted):
         raise ParseError(f"option {key!r} is not a finite number: {value!r}")
     return converted
@@ -503,13 +465,8 @@ def run_report(command, params):
 
 def run_batch(manifest_path):
     """Process a JSON array of command objects, one report per entry."""
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, too deep
-        raise ParseError(f"invalid JSON in manifest {manifest_path}: {exc}") from exc
+    text = _read_text(manifest_path, "manifest ")
+    entries = _parse_json(text, f"manifest {manifest_path}")
     if not isinstance(entries, list):
         raise ParseError("batch manifest must be a JSON array of command objects")
     reports = []

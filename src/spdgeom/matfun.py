@@ -47,12 +47,13 @@ def _as_square(a):
 
 
 def as_sym(a):
-    """Return the symmetric part (A + A^T)/2 of a square matrix as float64.
+    """Return the symmetric part A/2 + A^T/2 of a square matrix as float64,
+    finite for every finite input (A + A^T can overflow).
 
     Raises DomainError if the input is not a square 2-d array of size >= 1.
     """
     a = _as_square(a)
-    return (a + a.T) / 2.0
+    return a / 2.0 + a.T / 2.0
 
 
 def _one_size(*mats, n=None):
@@ -67,8 +68,24 @@ def _one_size(*mats, n=None):
 
 
 def frobenius(a):
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, free of the overflow and underflow of the squares.
+
+    A plain norm (np.linalg.norm's) outside (1e-150, 1e150) is taken again of
+    ``a`` scaled by an exact power of two: the norm of 2**k * a is 2**k times
+    the norm of a, bit for bit, and inf only beyond the float range.
+    """
+    x = np.asarray(a, dtype=float).ravel(order="K")
+    # np.vdot sums as np.linalg.norm does, but overflows without a warning.
+    norm = math.sqrt(np.vdot(x, x))
+    if 1e-150 < norm < 1e150:
+        return norm
+    big = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < big < math.inf:  # zero, or non-finite entries
+        return norm
+    k = math.frexp(big)[1]
+    y = np.ldexp(x, -k)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(np.vdot(y, y)), k))
 
 
 def tr_inner(a, b):

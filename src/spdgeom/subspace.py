@@ -21,14 +21,13 @@ entries of an off-diagonal pair; that order fixes the witness triple that
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _convert, _parse_json, _read_text
 from .matfun import as_sym, frobenius, _one_size
 
 # Generators whose orthogonal residual falls below this fraction of the
@@ -407,26 +406,18 @@ def subspace_from_dict(obj):
     """Build a subspace from a parsed ``{"n": int, "generators": [...]}``."""
     if not isinstance(obj, dict) or "n" not in obj or "generators" not in obj:
         raise ParseError('subspace file must be {"n": int, "generators": [...]}')
-    try:
-        n = int(obj["n"])
-        gens = [np.asarray(g, dtype=float) for g in obj["generators"]]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed subspace payload: {exc}") from exc
+    n, gens = _convert(_n_and_generators, obj, "malformed subspace payload")
     for g in gens:
         if g.shape != (n, n):
-            raise ParseError(
-                f"generator shape {g.shape} does not match declared n={n}"
-            )
+            raise ParseError(f"generator shape {g.shape} does not match declared n={n}")
     return build_subspace(gens)
+
+
+def _n_and_generators(obj):
+    return int(obj["n"]), [np.asarray(g, dtype=float) for g in obj["generators"]]
 
 
 def load_subspace(path):
     """Read a subspace from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read subspace file {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON in subspace file {path}: {exc}") from exc
-    return subspace_from_dict(obj)
+    text = _read_text(path, "subspace file ")
+    return subspace_from_dict(_parse_json(text, f"subspace file {path}"))

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +273,83 @@ class TestExitCodes:
         code, rep = run_cli(capsys, command, json.dumps(X22), "[[1]]")
         assert code == 3
         assert rep["error"]["type"] == "domain"
+
+
+BIG_INT = "9" * 400  # too large for a float
+SUB = b'{"n": %s, "generators": [[[%s, 0], [0, 0]]]}'
+# Payloads that used to end in a traceback: name -> (command, argument, the
+# bytes of the file it names or None, part of the expected message).  "{dir}"
+# stands for a fresh directory.
+UNREADABLE = {
+    "json-not-utf8": ("logm", "{dir}/m.json", b"[[2]]\xff", "cannot read"),
+    "csv-not-utf8": ("logm", "{dir}/m.csv", b"2\xe9\n", "cannot read"),
+    "subspace-not-utf8": (
+        "lts", "file:{dir}/s.json", SUB % (b"2", b"1") + b"\xfe",
+        "cannot read subspace file",
+    ),
+    "matrix-nul-path": ("logm", "a\x00b", None, "embedded null byte"),
+    "subspace-nul-path": ("lts", "file:a\x00b", None, "embedded null byte"),
+    "subspace-n-1e400": (
+        "lts", "file:{dir}/n.json", SUB % (b"1e400", b"1"),
+        "malformed subspace payload",
+    ),
+    "inline-400-digits": ("logm", f"[[{BIG_INT}]]", None, "not a numeric matrix"),
+    "generator-400-digits": (
+        "lts", "file:{dir}/g.json", SUB % (b"2", BIG_INT.encode()),
+        "malformed subspace payload",
+    ),
+}
+
+
+def unreadable_argv(tmp_path, name):
+    command, argument, data, _ = UNREADABLE[name]
+    argument = argument.replace("{dir}", str(tmp_path))
+    if data is not None:
+        Path(argument.removeprefix("file:")).write_bytes(data)
+    return [command, argument]
+
+
+class TestUnreadablePayloads:
+    @pytest.mark.parametrize("name", UNREADABLE)
+    def test_one_parse_report(self, capsys, tmp_path, name):
+        code = main(unreadable_argv(tmp_path, name))
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert rep["exit_code"] == 2
+        assert rep["error"]["type"] == "parse"
+        assert UNREADABLE[name][-1] in rep["error"]["message"]
+
+    def test_batch_entries_get_their_own_reports(self, capsys, tmp_path):
+        good = {"command": "dist", "a": "[[1,0],[0,1]]", "b": json.dumps(X22)}
+        bad = []
+        for name in UNREADABLE:
+            command, argument = unreadable_argv(tmp_path, name)
+            key = "x" if command == "logm" else "subspace"
+            bad.append({"command": command, key: argument})
+        manifest = [good, *bad, good]
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["batch", str(path)])
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["exit_code"] for r in reports] == [0] + [2] * len(bad) + [0]
+        assert [r["command"] for r in reports] == [e["command"] for e in manifest]
+        assert reports[-1]["outputs"]["distance"] == pytest.approx(math.log(3.0))
+        assert code == 2
+
+
+class TestFarFromUnitScale:
+    def test_singular_matrix_of_large_entries_is_refused(self, capsys):
+        code, rep = run_cli(capsys, "logm", "[[1e160,1e160],[1e160,1e160]]")
+        assert code == 3
+        assert "not positive definite" in rep["error"]["message"]
+
+    def test_generator_of_large_entries(self, capsys, tmp_path):
+        path = tmp_path / "sub.json"
+        path.write_text('{"n": 2, "generators": [[[1e200, 0], [0, 0]]]}')
+        code, rep = run_cli(capsys, "lts", f"file:{path}")
+        assert code == 0
+        assert rep["inputs"]["dim"] == 1
+        assert rep["outputs"]["is_lts"]
 
 
 class TestWarningsAndEnv:

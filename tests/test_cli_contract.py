@@ -37,7 +37,9 @@ MATRICES = [
     "[[4,1,0,0],[1,3,0,0],[0,0,2,1],[0,0,1,2]]",
     "[[1,0],[0",
     "[[1,1e400],[1e400,1]]",
+    "[[%s]]" % ("9" * 400),  # an integer too large for a float
     "/nonexistent/m.json",
+    "a\x00b",  # a path no file can have
 ]
 SPECS = [
     "diag",
@@ -48,6 +50,7 @@ SPECS = [
     "antiblock:2,2",
     "antiblock:0,2",
     "file:/nonexistent/sub.json",
+    "file:a\x00b",
     "spiral",
 ]
 # Values that convert to each option type.  A numeric 0 means the default

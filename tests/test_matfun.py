@@ -349,3 +349,38 @@ class TestValidation:
         # lam_min must clear spd_tol * max(1, lam_max).
         assert not is_spd(np.diag([1e6, 1e-7]))
         assert is_spd(np.diag([1e4, 1e-6]))
+
+
+class TestFarFromUnitScale:
+    """Norms and decompositions of matrices whose squared entries leave the
+    floats: entries near 1e160 square to inf, near 1e-170 to zero."""
+
+    @pytest.mark.parametrize("k", [520, -560])
+    def test_sym_eigen_scales_bit_for_bit(self, k):
+        rng = np.random.default_rng(14)
+        for n in (2, 3, 5, 8):
+            a = random_sym(rng, n)
+            ref = sym_eigen(a)
+            eig = sym_eigen(2.0**k * a)
+            np.testing.assert_array_equal(eig.q, ref.q)
+            np.testing.assert_array_equal(eig.lam, 2.0**k * ref.lam)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_two_by_two_spectrum(self, scale):
+        lam = sym_eigen(scale * np.array([[2.0, 1.0], [1.0, 2.0]])).lam
+        np.testing.assert_allclose(lam, [3.0 * scale, scale], rtol=1e-14)
+
+    def test_singular_matrix_is_not_spd(self):
+        assert not is_spd([[1e160, 1e160], [1e160, 1e160]])
+
+    def test_frobenius_scales_and_overflows_only_past_the_floats(self):
+        a = np.array([[3.0, 0.0], [0.0, 4.0]])
+        assert frobenius(2.0**600 * a) == 5.0 * 2.0**600
+        assert frobenius(2.0**-1000 * a) == 5.0 * 2.0**-1000
+        assert frobenius(np.full((2, 2), 1e308)) == math.inf
+        assert frobenius(np.zeros((2, 2))) == 0.0
+        assert math.isnan(frobenius(np.array([[math.nan]])))
+
+    def test_as_sym_keeps_the_largest_floats_finite(self):
+        a = np.array([[1e308, 1.7e308], [1.7e308, -1e308]])
+        np.testing.assert_array_equal(as_sym(a), a)
