@@ -214,7 +214,7 @@ def sym_eigen(a):
             flat[pr] = 0.0
             flat[rp] = 0.0
             q = q @ rot
-        work = (work + work.T) / 2.0
+        work = work / 2.0 + work.T / 2.0
         sweeps += 1
         off = _offdiag_norm(work)
 
@@ -226,14 +226,14 @@ def sym_eigen(a):
 def _rebuild(eig, values):
     """Assemble q @ diag(values) @ q.T, symmetrized."""
     m = (eig.q * values) @ eig.q.T
-    return (m + m.T) / 2.0
+    return m / 2.0 + m.T / 2.0
 
 
 def _sym_checked(raw, what):
     """The symmetric part of raw, which must be symmetric up to rounding."""
     if frobenius(raw - raw.T) > 1e-10 * max(1.0, frobenius(raw)):
         raise DomainError(f"{what} produced a non-symmetric result")
-    return (raw + raw.T) / 2.0
+    return raw / 2.0 + raw.T / 2.0
 
 
 def _map_checked(phi, values, fn, at):

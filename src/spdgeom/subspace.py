@@ -35,6 +35,10 @@ from .matfun import as_sym, frobenius, _one_size
 _DROP_TOL = 1e-10
 # A basis is taken as symmetric and orthonormal up to this entrywise error.
 _ORTHO_TOL = 1e-10
+# lts_check takes the outer basis elements in runs whose nested brackets fill
+# about this many floats (1 MiB), so that a small subspace takes one run and
+# a large one a bounded working set.
+_RUN_FLOATS = 2**17
 
 
 @dataclass(eq=False)
@@ -158,23 +162,34 @@ class LtsReport:
     tol: float
 
 
-def _nonzero_brackets(b):
+def _nonzero_rows(b):
+    """The nonzero rows R of each basis element, in order, padded to a common
+    count m with zero rows of the element: shape (k, m).  The elements being
+    symmetric, these are their nonzero columns too."""
+    rows = b.any(axis=2)
+    m = rows.sum(axis=1).max(initial=0)
+    # A stable sort puts the nonzero rows first, in order.
+    return np.argsort(~rows, axis=1, kind="stable")[:, :m].copy()
+
+
+def _nonzero_brackets(b, ridx):
     """Index pairs (j, k), j < k, in lexicographic order, whose bracket
-    [B_j, B_k] is not exactly zero, and those brackets."""
-    k, n = b.shape[:2]
+    [B_j, B_k] is not exactly zero, those brackets, and their nonzero rows
+    as a boolean array."""
     # B_j B_k is exactly zero unless some index is a nonzero row of both.
     rows = b.any(axis=2).astype(float)
-    shared = rows @ rows.T > 0
-    pairs, brackets = [], [np.zeros((0, n, n))]
-    for j in range(k - 1):
-        others = j + 1 + np.flatnonzero(shared[j, j + 1 :])
-        # B_k B_j for those k in one product; [B_j, B_k] = (B_k B_j)^T - B_k B_j.
-        q = (b[others].reshape(-1, n) @ b[j]).reshape(-1, n, n)
-        c = q.transpose(0, 2, 1) - q
-        nz = np.flatnonzero(c.reshape(len(c), n * n).any(axis=1))
-        pairs.extend((j, o) for o in others[nz])
-        brackets.append(c[nz])
-    return np.array(pairs, dtype=int).reshape(-1, 2), np.concatenate(brackets)
+    j, o = np.nonzero(np.triu(rows @ rows.T > 0, 1))
+    # B_k B_j = B_k[:, R] B_j[R, :] over the nonzero rows R of B_j, where
+    # B_k[:, R] = B_k[R, :]^T; and [B_j, B_k] = (B_k B_j)^T - B_k B_j.
+    r = ridx[j]
+    c = np.matmul(b[o[:, None], r].transpose(0, 2, 1), b[j[:, None], r])
+    c = c.transpose(0, 2, 1) - c
+    # A skew matrix's nonzero columns are its nonzero rows.
+    c_rows = c.any(axis=1)
+    nz = c_rows.any(axis=1)
+    if not nz.all():
+        c, c_rows = c[nz], c_rows[nz]
+    return np.stack([j[nz], o[nz]], axis=1), c, c_rows
 
 
 def _reach(b, brackets):
@@ -195,18 +210,41 @@ def _reach(b, brackets):
     return z, cols * n + rows
 
 
-def _off_sym(p, flat, at):
-    """Parts of P + P^T orthogonal to the rows of ``flat``, for each P in the
-    stack ``p``, on the entries ``at`` from ``_reach``; shape (len(p),
-    number of entries).  ``flat`` is the basis on those entries.
+def _nested(b, ridx, brackets, x, p, flat, at):
+    """The parts of the nested brackets [B_x, C_p] orthogonal to the subspace,
+    for index arrays ``x`` into the basis and ``p`` into ``brackets``, on the
+    entries ``at`` from ``_reach``: shape (len(x), |Z|).  ``ridx`` holds each
+    basis element's padded nonzero rows R; ``flat`` is the basis on Z.
 
-    With X symmetric and S skew, (XS)^T = -SX, so [X, S] = XS + (XS)^T and
-    [S, X] = SX + (SX)^T: each bracket takes one product.
+    With B symmetric and C skew, C B = -C[R, :]^T B[R, :].  So
+    [B, C] = -(C B) - (C B)^T = Q + Q^T with Q = C[R, :]^T B[R, :], one
+    product of an n x m and an m x n matrix.
     """
-    pf = p.reshape(len(p), -1)
-    t = np.take(pf, at[0], axis=1)
-    t += np.take(pf, at[1], axis=1)
-    return t - (t @ flat.T) @ flat
+    r = ridx[x]
+    q = np.matmul(brackets[p[:, None], r].transpose(0, 2, 1), b[x[:, None], r])
+    q = q.reshape(len(x), q.shape[1] * q.shape[2])
+    t = np.take(q, at[0], axis=1)
+    t += np.take(q, at[1], axis=1)
+    t -= (t @ flat.T) @ flat
+    return t
+
+
+def _runs(meet, first, second, width):
+    """Consecutive ranges [lo, hi) of outer elements whose nested brackets,
+    ``width`` floats each, fill about ``_RUN_FLOATS``, or one element where
+    that overflows; a range with none is left out.  An element counts its
+    triples and, as a bound, the nested brackets of lower elements whose
+    pair holds it."""
+    k = meet.shape[1]
+    below = np.arange(k)
+    count = meet.sum(axis=0)
+    for member in (first, second):
+        lower = (meet & (below < member[:, None])).sum(axis=1)
+        count += np.bincount(member, lower, k).astype(int)
+    run = (np.cumsum(count) - count) * width // _RUN_FLOATS
+    edges = np.flatnonzero(np.diff(run)) + 1
+    runs = zip([0, *edges], [*edges, k])
+    return [(lo, hi) for lo, hi in runs if count[lo:hi].any()]
 
 
 def lts_check(e, tol=1e-9):
@@ -219,17 +257,22 @@ def lts_check(e, tol=1e-9):
     verdict is reported alongside and must agree.  The witness is the first
     basis triple, in index order, with the largest relative residual.
 
-    The brackets [B_j, B_k] are formed once, except where B_j and B_k share
-    no nonzero row.  Exactly zero brackets give exactly zero triples and are
-    skipped; for the diagonal subspace that is all of them.  The triples of
-    the rest are taken one outer element B_i at a time and carried only on
-    the set Z of entries that a basis element or a nested bracket can reach
-    (``_reach``); elsewhere they are exactly zero.  A k-dimensional subspace
-    of n x n matrices then costs O(k^2 n^2) memory for the brackets and the
-    products of one outer element and O(k^2 |Z|) for the rest, and
-    O(k^3 n^3 + k^4 |Z|) time, the k^4 |Z| part being the projections.  The
-    products C B_i run over the nonzero rows of B_i only.  For a dense basis
-    Z is every entry.
+    Only products that can be nonzero are formed.  A bracket [B_j, B_k] is
+    formed where B_j and B_k share a nonzero row, and a nested bracket
+    [B_i, C] where B_i and the bracket C share one; the other products are
+    exactly zero.  For the diagonal subspace no bracket is formed.  Both
+    products run over the m nonzero rows of one factor only (``_nested``),
+    and a nested bracket is carried only on the set Z of entries that a
+    basis element or a nested bracket can reach (``_reach``); elsewhere it
+    is exactly zero.  For a dense basis nothing is skipped, m = n and Z is
+    every entry.
+
+    The outer elements B_i are taken in runs of consecutive indices
+    (``_runs``).  A polarized sum [B_h, [B_i, B_q]] + [B_i, [B_h, B_q]],
+    h < i, is completed in the run of i, which forms again the nested
+    brackets of the elements h before it.  A k-dimensional subspace of
+    n x n matrices costs O(k^2 n^2) memory and O(k^3 n^3 + k^4 |Z|) time, the
+    k^4 |Z| part being the projections.
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
@@ -239,51 +282,57 @@ def lts_check(e, tol=1e-9):
 
     b = e.basis
     k, n = e.dim, e.n
-    norms = np.sqrt(np.einsum("kab,kab->k", b, b))
-    pairs, brackets = _nonzero_brackets(b)
-    first, second = pairs[:, 0], pairs[:, 1]
+    ridx = _nonzero_rows(b)
+    pairs, brackets, c_rows = _nonzero_brackets(b, ridx)
     at = _reach(b, brackets)
+    norms = np.sqrt(np.einsum("kab,kab->k", b, b))
+    first, second = pairs.T
     flat = b.reshape(k, n * n)[:, at[0]]
-    rows = b.any(axis=2)
+    # meet[p, m]: bracket p and B_m share a nonzero row, without which
+    # [B_m, C_p] is exactly zero.
+    meet = c_rows.astype(float) @ b.any(axis=2).T.astype(float) > 0
 
     max_residual, witness_at, double_max = 0.0, None, 0.0
-    for i in range(k if len(pairs) else 0):
-        # C B_i over the nonzero rows r of B_i: sum_r C[:, r] B_i[r, :].
-        r = np.flatnonzero(rows[i])
-        cols = brackets if len(r) == n else brackets[:, :, r]
-        cols = cols.reshape(len(brackets) * n, len(r))
-        # off[i, j, k] for the pairs; off[i, k, j] = -off[i, j, k].
-        off = -_off_sym((cols @ b[i][r]).reshape(-1, n, n), flat, at)
-        rel = np.linalg.norm(off, axis=1) / np.maximum(
-            1.0, norms[i] * norms[first] * norms[second]
+    for lo, hi in _runs(meet, first, second, n * n + flat.shape[1]):
+        # The triples [B_x, [B_j, B_k]] of the run's outer elements x, in
+        # index order, then the nested brackets [B_h, C_p] of the elements h
+        # before the run whose pair p holds an element of the run.
+        tx, tp = np.nonzero(meet[:, lo:hi].T)
+        tx += lo
+        held = np.flatnonzero(((lo <= pairs) & (pairs < hi)).any(axis=1))
+        dp, dh = np.nonzero(meet[held, :lo])
+        x, p = np.concatenate([tx, dh]), np.concatenate([tp, held[dp]])
+        off = _nested(b, ridx, brackets, x, p, flat, at)
+        rel = np.linalg.norm(off[: len(tx)], axis=1) / np.maximum(
+            1.0, norms[tx] * norms[first[tp]] * norms[second[tp]]
         )
-        t = int(np.argmax(rel))
-        if rel[t] > max_residual:
-            max_residual, witness_at = float(rel[t]), (i, t, off[t].copy())
-        if i == 0:
-            continue
-        # Polarized sums off[h, i, q] + off[i, h, q] for h < i, indexed by
-        # h * k + q, over the (h, q) where either term can be nonzero.  As
-        # [B_i, B_i] = 0, the sums at q = h or q = i are the double brackets
-        # [B_i, [B_i, B_h]] and [B_h, [B_h, B_i]] up to sign.
-        below_f, below_s = first < i, second < i
-        keys_a = np.concatenate(
-            [first[below_f] * k + second[below_f], second[below_s] * k + first[below_s]]
-        )
-        terms_a = np.concatenate([off[below_f], -off[below_s]])
-        q = np.concatenate([second[first == i], first[second == i]])
-        signed = np.concatenate([brackets[first == i], -brackets[second == i]])
-        lower = b[:i].reshape(-1, n)
-        terms_d = [_off_sym((lower @ c).reshape(i, n, n), flat, at) for c in signed]
-        keys_d = (q[:, None] + np.arange(i)[None, :] * k).ravel()
-        keys, where = np.unique(np.concatenate([keys_a, keys_d]), return_inverse=True)
+        if len(rel) and rel.max() > max_residual:
+            t = int(np.argmax(rel))
+            max_residual, witness_at = float(rel[t]), (tx[t], tp[t], off[t].copy())
+        # off[v] = [B_x, [B_y, B_z]] with (y, z) the pair p is a term of the
+        # polarized sum over {x, y} and z, and -off[v] one of the sum over
+        # {x, z} and y.  The sums whose larger outer element is in the run
+        # have both their terms here.  As [B_y, B_y] = 0, the sums at z = x or
+        # z = y are the double brackets [B_y, [B_y, B_x]] and
+        # [B_x, [B_x, B_y]] up to sign.
+        v = np.tile(np.arange(len(x)), 2)
+        y = np.concatenate([first[p], second[p]])
+        z = np.concatenate([second[p], first[p]])
+        h, i = np.minimum(x[v], y), np.maximum(x[v], y)
+        use = (h != i) & (lo <= i) & (i < hi)
+        minus = (np.arange(len(v)) >= len(x))[use]
+        v, keys = v[use], ((h * k + i) * k + z)[use]
+        keys, once, where = np.unique(keys, return_index=True, return_inverse=True)
         polar = np.zeros((len(keys), flat.shape[1]))
-        polar[where[: len(keys_a)]] += terms_a
-        if terms_d:
-            polar[where[len(keys_a) :]] += np.concatenate(terms_d)
-        h, qq = np.divmod(keys, k)
+        # A sum has at most two terms: add each first occurrence, then the rest.
+        again = np.ones(len(v), dtype=bool)
+        again[once] = False
+        for part in (~again, again):
+            polar[where[part & ~minus]] += off[v[part & ~minus]]
+            polar[where[part & minus]] -= off[v[part & minus]]
+        h, i, z = keys // (k * k), keys // k % k, keys % k
         polar_rel = np.linalg.norm(polar, axis=1) / np.maximum(
-            1.0, norms[h] * norms[i] * norms[qq]
+            1.0, norms[h] * norms[i] * norms[z]
         )
         if len(polar_rel):
             double_max = max(double_max, float(polar_rel.max()))

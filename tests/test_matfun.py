@@ -95,6 +95,17 @@ class TestSymEigen:
             assert frobenius(e.q.T @ e.q - np.eye(n)) <= 1e-10 * n
             assert np.all(np.diff(e.lam) <= 1e-12)
 
+    def test_entries_near_the_largest_float(self):
+        # Symmetrizing as (A + A^T) / 2 overflows here; A / 2 + A^T / 2 does
+        # not.  A RuntimeWarning is an error under this suite's settings.
+        a = np.array([[1e308, 5e307], [5e307, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = sym_eigen(a)
+            back = spd_pow(a, 1.0)
+        np.testing.assert_allclose(e.lam, [1.5e308, 5e307], rtol=1e-15)
+        np.testing.assert_allclose(back, a, rtol=1e-13)
+
     def test_rounds_with_skipped_pivots(self):
         # Entries that are exactly zero, as in block-diagonal iterates, leave
         # some rotations of a round below the skip threshold.

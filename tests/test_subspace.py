@@ -60,12 +60,15 @@ def dense_lts_reference(e, tol=1e-9):
 
 def _equivalence_cases(rng, count):
     """Random generator sets, block-diagonal and antidiagonal LTS cases in a
-    random orthonormal frame, and sparse ready-made subspaces, at n <= 6.
+    random orthonormal frame, sparse ready-made subspaces, and random subsets
+    of the coordinate basis, at n <= 6.
 
     The sparse cases include a non-LTS subspace whose brackets reach only
     part of the matrix: the zero-diagonal 3 x 3 subspace padded to 5 x 5,
-    whose nested brackets live in the leading 3 x 3 block.  The last case is
-    a dense basis whose last element, the identity, brackets with nothing."""
+    whose nested brackets live in the leading 3 x 3 block.  Then comes a
+    dense basis whose last element, the identity, brackets with nothing.
+    The coordinate subsets are mostly not LTS and have many exactly tied
+    residuals, so they pin the witness to the first triple in index order."""
     for case in range(count):
         n = int(rng.integers(2, 7))
         if case % 3:
@@ -85,6 +88,12 @@ def _equivalence_cases(rng, count):
     three_blocks = zero_diag_block_subspace([1, 1, 1]).basis
     yield build_subspace([np.pad(g, (0, 2)) for g in three_blocks])
     yield build_subspace([OFFDIAG, np.diag([1.0, -1.0]), np.eye(2)])
+    for _ in range(count // 3):
+        n = int(rng.integers(2, 7))
+        coords = block_diag_subspace([n]).basis
+        keep = rng.random(len(coords)) < rng.uniform(0.2, 0.8)
+        keep[rng.integers(len(coords))] = True
+        yield Subspace(n=n, basis=coords[keep])
 
 
 def _orthonormal(sub):
@@ -369,6 +378,20 @@ class TestLtsCheck:
             tracemalloc.stop()
         assert report.is_lts and report.double_bracket_is_lts
         assert peak < 8 * 2**20
+
+    def test_block_8_8_8_forms_only_products_that_meet(self):
+        # k = 108: a nested bracket is formed only where the bracket and the
+        # outer element share a nonzero row, as one 24 x 2 product.  Forming
+        # every C B_i and B_h C peaked at 18.3 MiB; this check at 6.4 MiB.
+        sub = block_diag_subspace([8, 8, 8])
+        tracemalloc.start()
+        try:
+            report = lts_check(sub)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.is_lts and report.double_bracket_is_lts
+        assert peak < 12 * 2**20
 
     def test_sl2_subspace_is_lts(self):
         assert lts_check(sl2_traceless_diag_subspace()).is_lts
