@@ -184,17 +184,14 @@ def _advance(x, e_sub, cur):
     return move((1.0 / bound) * cur.grad), False
 
 
-def _project(
-    x, e_sub, eig_x=None, /, *, tol=1e-11, max_iter=500, unchecked=False, initial=None
-):
-    """``geodesic_project``'s final iterate and iteration count; ``eig_x``, if
-    given, is x's checked eigendecomposition."""
+def _project(x, e_sub, *, tol=1e-11, max_iter=500, unchecked=False, initial=None):
+    """``geodesic_project``'s final iterate and iteration count."""
     x = _require_pair(x, e_sub)
     if not (tol > 0 and isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise DomainError("tol must be positive and max_iter an integer >= 1")
     if initial is not None:
         initial = _one_size(x, _as_square(initial))[1]
-    eig_x = _spd_eigen(x) if eig_x is None else eig_x
+    eig_x = _spd_eigen(x)
     start = _rebuild(eig_x, np.log(eig_x.lam)) if initial is None else spd_log(initial)
     _require_lts(e_sub, unchecked)
 
@@ -271,7 +268,7 @@ def _mostow_gl(g, e_sub, opts):
     _check_spd_spectrum(
         eig.lam, "g^T g, whose eigenvalues are the squared singular values of g,"
     )
-    cur, iterations = _project(s, e_sub, eig, **opts)
+    cur, iterations = _project(s, e_sub, **opts)
     # g^T g = e z e, so f = z^{1/2} and k = g e^{-1} z^{-1/2}.
     root = np.sqrt(cur.eig_z.lam)
     k = g @ cur.exp_w(-0.5) @ _rebuild(cur.eig_z, 1.0 / root)
@@ -284,9 +281,9 @@ def mostow_gl(g, e_sub, **opts):
 
     Follows from the two-sided factorization of g^T g = e f^2 e: the square
     root of the middle factor stays in exp(E^perp) because that subspace is
-    closed under halving of logarithms.  The projection starts from the
-    eigendecomposition of g^T g that checks it, and f^{+-1/2} come from the
-    final iterate's z.
+    closed under halving of logarithms.  The eigendecomposition of g^T g
+    that checks it is reused through ``sym_eigen``'s cache for the
+    projection's start, and f^{+-1/2} come from the final iterate's z.
 
     g^T g must pass the positive-definiteness floor of every SPD input, on
     the squares of g's singular values: sigma_min > 1e-6 * max(1, sigma_max).

@@ -4,6 +4,10 @@ All heavy lifting on symmetric matrices goes through a single cyclic Jacobi
 eigensolver, which is deterministic and accurate to machine precision for
 dense symmetric input.  Analytic functions (exp, log, sqrt, powers) are
 evaluated through the spectrum, so the results are symmetric by construction.
+The solver's results are kept for the last 4 distinct inputs, keyed by the
+exact bytes of the symmetrized matrix, so a base point that a Log, Exp or
+geodesic takes again is decomposed once: at most 4 * (2n^2 + n) read-only
+floats, about 260 KB at n = 64.
 
 Operands are checked one at a time for a finite square array (``_as_square``,
 ``as_sym``, ``require_spd``), then together, with the size of any subspace or
@@ -20,6 +24,7 @@ and the ``spd_*`` functions are built on it.  Callers that need x^{1/2} or
 x^{-1/2} take them from that decomposition instead of validating x first.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +39,9 @@ SPD_TOL = 1e-12
 # _JACOBI_TOL * ||A||_F, giving up after _MAX_SWEEPS full sweeps.
 _JACOBI_TOL = 1e-14
 _MAX_SWEEPS = 50
+
+# Distinct inputs sym_eigen keeps; geodesic((x, y), t) takes x, y, z, then x.
+_CACHE_SIZE = 4
 
 
 def _as_square(a):
@@ -100,7 +108,7 @@ class EigenDecomposition:
 
     ``q`` holds eigenvectors in its columns, ``lam`` the matching eigenvalues
     in descending order, so that ``q @ diag(lam) @ q.T`` reconstructs the
-    source matrix.
+    source matrix.  Both are read-only, shared through sym_eigen's cache.
     """
 
     q: np.ndarray
@@ -152,6 +160,10 @@ def _jacobi_rounds(n):
 def sym_eigen(a):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
+    Results are kept for the last 4 distinct inputs, keyed by the exact bytes
+    of the symmetrized matrix; a hit is bit for bit a fresh solve, returned as
+    a new EigenDecomposition over the kept, read-only ``q`` and ``lam``.
+
     Parameters
     ----------
     a : array_like, shape (n, n)
@@ -166,10 +178,17 @@ def sym_eigen(a):
     ------
     ConvergenceError
         If the off-diagonal norm is not reduced below 1e-14 * ||A||_F within
-        50 sweeps; carries the remaining off-diagonal residual.
+        50 sweeps; carries the remaining off-diagonal residual.  Not cached.
     """
     a = as_sym(a)
-    n = a.shape[0]
+    q, lam = _solve(a.shape[0], a.tobytes())
+    return EigenDecomposition(q=q, lam=lam)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _solve(n, key):
+    """Read-only (q, lam) of the symmetric n x n matrix whose bytes are key."""
+    a = np.frombuffer(key).reshape(n, n)
     work = a.copy()
     eye = np.eye(n)
     q = eye
@@ -220,7 +239,9 @@ def sym_eigen(a):
 
     lam = np.diag(work).copy()
     order = np.argsort(-lam, kind="stable")
-    return EigenDecomposition(q=np.ascontiguousarray(q[:, order]), lam=lam[order])
+    q, lam = np.ascontiguousarray(q[:, order]), lam[order]
+    q.flags.writeable = lam.flags.writeable = False
+    return q, lam
 
 
 def _rebuild(eig, values):

@@ -1,7 +1,6 @@
 """Shared random-matrix generators and fixtures for the test suite."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -43,30 +42,25 @@ def reject_json_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
+@pytest.fixture(autouse=True)
+def _fresh_eigen_cache():
+    """Start every test with no kept eigendecompositions, so that no count or
+    error path depends on the matrices an earlier test decomposed."""
+    from spdgeom.matfun import _solve
+
+    _solve.cache_clear()
+
+
 @pytest.fixture
-def eig_count(monkeypatch):
-    """Count sym_eigen calls, rebinding the solver in every spdgeom module
-    that holds it (``from .matfun import sym_eigen`` makes a binding per
-    module)."""
-    import spdgeom.matfun as matfun
-
-    original = matfun.sym_eigen
-    calls = []
-
-    def counted(a):
-        calls.append(1)
-        return original(a)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "spdgeom" or name.startswith("spdgeom."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+def eig_count():
+    """Count eigensolver runs: the sym_eigen calls its cache does not answer.
+    ``count.runs()`` reads the runs since the last count, also after a raise."""
+    from spdgeom.matfun import _solve
 
     def count(fn, *args, **kwargs):
-        calls.clear()
+        _solve.cache_clear()
         result = fn(*args, **kwargs)
-        return len(calls), result
+        return count.runs(), result
 
-    count.calls = calls
+    count.runs = lambda: _solve.cache_info().misses
     return count

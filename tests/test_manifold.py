@@ -196,6 +196,25 @@ class TestDistance:
             d0 = distance(x, y)
             d1 = distance(congruence_action(g, x), congruence_action(g, y))
             assert abs(d1 - d0) <= 1e-9 * max(1.0, d0)
+        # Geodesics, Log and Exp are equivariant: moving the inputs by
+        # x -> g x g^T moves the output the same way.
+        rng = np.random.default_rng(114)
+        worst = 0.0
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            x, y, v = random_spd(rng, n), random_spd(rng, n), random_sym(rng, n)
+            t = float(rng.uniform(-0.5, 1.5))
+            g = random_invertible(rng, n, cond=math.e**2)
+            gx, gy, gv = (g @ m @ g.T for m in (x, y, v))
+            pairs = [
+                (geodesic((gx, gy), t), geodesic((x, y), t)),
+                (riem_log(gx, gy).vec, riem_log(x, y).vec),
+                (riem_exp(gx, TangentVector(gx, gv)), riem_exp(x, TangentVector(x, v))),
+            ]
+            for moved, out in pairs:
+                want = g @ out @ g.T
+                worst = max(worst, frobenius(moved - want) / frobenius(want))
+        assert worst <= 1e-10
 
     def test_inversion_invariance(self):
         rng = np.random.default_rng(15)

@@ -14,6 +14,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spdgeom.matfun as matfun
 from conftest import random_spd, random_sym
 from spdgeom import (
     ConvergenceError,
@@ -123,6 +124,7 @@ class TestSymEigen:
         rng = np.random.default_rng(3)
         a = random_sym(rng, 6)
         e1 = sym_eigen(a)
+        matfun._solve.cache_clear()  # solve again rather than look it up
         e2 = sym_eigen(a.copy())
         assert np.array_equal(e1.lam, e2.lam)
         assert np.array_equal(e1.q, e2.q)
@@ -153,6 +155,50 @@ class TestSymEigen:
         with pytest.raises(ConvergenceError) as exc_info:
             matfun.sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert exc_info.value.residual == pytest.approx(math.sqrt(2.0))
+
+
+class TestEigenCache:
+    """sym_eigen answers the last 4 distinct inputs from a cache keyed by the
+    exact bytes of the symmetrized matrix."""
+
+    def test_hit_is_the_fresh_solve_and_read_only(self):
+        a = random_sym(np.random.default_rng(31), 6)
+        fresh = sym_eigen(a)
+        hit = sym_eigen(a.copy())
+        assert matfun._solve.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert hit is not fresh
+        assert np.array_equal(hit.q, fresh.q) and np.array_equal(hit.lam, fresh.lam)
+        for array in (hit.q, hit.lam):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_changed_in_place_is_decomposed_anew(self):
+        a = random_sym(np.random.default_rng(32), 5)
+        before = sym_eigen(a)
+        a[0, 1] = a[1, 0] = a[0, 1] + 0.5
+        after = sym_eigen(a)
+        assert matfun._solve.cache_info().misses == 2
+        assert not np.array_equal(after.lam, before.lam)
+        matfun._solve.cache_clear()
+        fresh = sym_eigen(a.copy())
+        assert np.array_equal(after.q, fresh.q) and np.array_equal(after.lam, fresh.lam)
+
+    def test_keeps_the_last_four_distinct_inputs(self):
+        mats = [np.diag([float(k + 2), 1.0]) + 0.1 * OFFDIAG for k in range(5)]
+        for m in mats:
+            sym_eigen(m)
+        sym_eigen(mats[-1])
+        sym_eigen(mats[1])
+        assert matfun._solve.cache_info()[:2] == (2, 5)
+        sym_eigen(mats[0])  # evicted by the fifth
+        assert matfun._solve.cache_info()[:2] == (2, 6)
+
+    def test_convergence_error_is_not_cached(self, monkeypatch):
+        monkeypatch.setattr(matfun, "_MAX_SWEEPS", 0)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                sym_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert matfun._solve.cache_info().misses == 2
 
 
 class TestSymApply:
