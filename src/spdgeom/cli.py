@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decompose import geodesic_project, mostow_gl, mostow_spd
+from .decompose import geodesic_project, mostow_gl, mostow_spd, _MAX_ITER, _TOL
 from .errors import ConvergenceError, DomainError, ParseError, SpdGeomError
 from .errors import _convert, _parse_json, _read_text
 from .manifold import distance, geodesic, sectional_curvature_id
@@ -42,6 +42,7 @@ from .subspace import (
     diag_subspace,
     load_subspace,
     lts_check,
+    _LTS_TOL,
 )
 
 EXIT_OK = 0
@@ -61,7 +62,7 @@ _MAX_DEPTH = 32
 def _default_tol():
     env = os.environ.get("SPD_TOL")
     if env is None:
-        return 1e-11
+        return _TOL
     return _convert(float, env, f"SPD_TOL={env!r} is not a number")
 
 
@@ -265,7 +266,7 @@ _SOLVER = {
     **_FORMAT,
     "tol": Option(float, None, "convergence tolerance (or env SPD_TOL)",
                   fallback=_default_tol),
-    "max_iter": Option(int, fallback=lambda: 500),
+    "max_iter": Option(int, fallback=lambda: _MAX_ITER),
     "unchecked": Option(bool, False, "skip the bracket-closure check of the subspace"),
 }
 
@@ -312,7 +313,7 @@ COMMANDS = {
         "bracket-closure check of a subspace", (),
         {
             "n": Option(int, None, "ambient dimension for built-in specs"),
-            "tol": Option(float, fallback=lambda: 1e-9),
+            "tol": Option(float, fallback=lambda: _LTS_TOL),
         },
         _lts, "subspace",
     ),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dexp import _kernel_sinh_ratio, _kernel_u_coth_half
+from .dexp import _ad_gram, _kernel_sinh_ratio, _kernel_u_coth_half
 from .errors import ConvergenceError, DomainError
 from .manifold import _pull_back
 from .matfun import (
@@ -50,6 +50,8 @@ from .matfun import (
     _spd_eigen,
 )
 from .subspace import Subspace, lts_check, project_trace
+
+_TOL, _MAX_ITER = 1e-11, 500  # the projection's default tol and max_iter
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +119,7 @@ class _Iterate:
         self.w = w
         self.basis = e_sub.basis
         self.eig_w = sym_eigen(w)
-        y_inv_half = self.exp_w(-0.5)
-        self.z = as_sym(y_inv_half @ x @ y_inv_half)
+        self.z = _pull_back(self.exp_w(-0.5), x)
         self.eig_z = eig_z = sym_eigen(self.z)
         lam = eig_z.lam
         cond = lam[0] / lam[-1] if lam[-1] > 0 else math.inf
@@ -127,8 +128,8 @@ class _Iterate:
         )
         # u = log z = Q diag(mu) Q^T; |mu| is the distance d(y, x).
         self.mu = np.log(lam)
-        # Row i holds Q^T B_i Q, flattened; its diagonal gives <B_i, u>.
-        self.basis_q = (eig_z.q.T @ e_sub.basis @ eig_z.q).reshape(e_sub.dim, -1)
+        # Row i: Q^T B_i Q as n^2 entries (dim E = 0 too); its diagonal gives <B_i, u>.
+        self.basis_q = (eig_z.q.T @ e_sub.basis @ eig_z.q).reshape(e_sub.dim, x.size)
         self.grad = self.basis_q[:, :: x.shape[0] + 1] @ self.mu
         self.residual = frobenius(self.grad)
 
@@ -142,8 +143,7 @@ class _Iterate:
 
     def hessian(self):
         """H_ij = <B_i, phi(ad u) B_j>, phi(t) = (t/2) coth(t/2)."""
-        phi = 0.5 * _kernel_u_coth_half(self.mu[:, None] - self.mu[None, :])
-        return (self.basis_q * phi.ravel()) @ self.basis_q.T
+        return _ad_gram(self.basis_q, self.mu, lambda t: 0.5 * _kernel_u_coth_half(t))
 
     def chart_jacobian(self):
         """J_ij = <B_i, tau_w(B_j)>, tau_w = sinh(ad(w/2)) / ad(w/2).
@@ -152,10 +152,9 @@ class _Iterate:
         the chart coordinates of the move of y.  J is symmetric with
         eigenvalues sinh(t)/t >= 1.
         """
-        q, lam = self.eig_w.q, self.eig_w.lam
-        basis_w = (q.T @ self.basis @ q).reshape(len(self.basis), -1)
-        kernel = _kernel_sinh_ratio(lam[:, None] - lam[None, :])
-        return (basis_w * kernel.ravel()) @ basis_w.T
+        q = self.eig_w.q
+        basis_w = (q.T @ self.basis @ q).reshape(len(self.basis), q.size)
+        return _ad_gram(basis_w, self.eig_w.lam, _kernel_sinh_ratio)
 
 
 def _advance(x, e_sub, cur):
@@ -184,7 +183,7 @@ def _advance(x, e_sub, cur):
     return move((1.0 / bound) * cur.grad), False
 
 
-def _project(x, e_sub, *, tol=1e-11, max_iter=500, unchecked=False, initial=None):
+def _project(x, e_sub, *, tol=_TOL, max_iter=_MAX_ITER, unchecked=False, initial=None):
     """``geodesic_project``'s final iterate and iteration count."""
     x = _require_pair(x, e_sub)
     if not (tol > 0 and isinstance(max_iter, numbers.Integral) and max_iter >= 1):
@@ -210,7 +209,7 @@ def _project(x, e_sub, *, tol=1e-11, max_iter=500, unchecked=False, initial=None
 
 
 def geodesic_project(
-    x, e_sub, *, tol=1e-11, max_iter=500, unchecked=False, initial=None
+    x, e_sub, *, tol=_TOL, max_iter=_MAX_ITER, unchecked=False, initial=None
 ):
     """Closest point of exp(E) to x in the geodesic distance, by damped
     Newton: one eigendecomposition of x at the start (its logarithm, which

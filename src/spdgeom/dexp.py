@@ -8,7 +8,8 @@ series truncation, but it does require phi to carry its own limit value at
 removable singularities (the built-in kernels take it from ``_continued``).
 Every operator takes one path: ``_in_eigenbasis`` checks X and Y and
 decomposes X, ``_scaled`` scales Q^T Y Q by phi of the eigenvalue differences
-and rotates back; a caller's phi is mapped by ``matfun._map_checked``.
+and rotates back; a caller's phi is mapped by ``matfun._map_checked``.  The
+matrix of phi(ad(X)) on a subspace is ``_ad_gram``'s, by the same scaling.
 
 The central operator is ``tau_X = sinh(ad(X/2)) / ad(X/2)``, in terms of
 which
@@ -73,6 +74,13 @@ def _scaled(eig, y, scale):
     diffs = eig.lam[:, None] - eig.lam[None, :]
     m = eig.q.T @ y @ eig.q
     return eig.q @ (scale(diffs) * m) @ eig.q.T
+
+
+def _ad_gram(rotated, lam, scale):
+    """<B_i, phi(ad(X)) B_j>, X = Q diag(lam) Q^T, from the rows Q^T B_i Q of
+    ``rotated``: each scaled by scale(lam_i - lam_j), as in ``_scaled``."""
+    diffs = lam[:, None] - lam[None, :]
+    return (rotated * scale(diffs).ravel()) @ rotated.T
 
 
 def ad_function_apply(op, y):

@@ -49,13 +49,6 @@ class TangentVector:
         self.base, self.vec = _one_size(require_spd(self.base), as_sym(self.vec))
 
 
-def _tangent(base, vec):
-    """TangentVector at a base already checked positive definite."""
-    v = object.__new__(TangentVector)
-    v.base, v.vec = base, vec
-    return v
-
-
 @dataclass(eq=False)
 class GeodesicSegment:
     """The unique geodesic through two points, parametrized so that
@@ -81,12 +74,13 @@ def metric(x, u, v):
 
 
 def geodesic(seg, t):
-    """Point gamma(t) on a geodesic segment; t may lie outside [0, 1]."""
-    checked = isinstance(seg, GeodesicSegment)
-    x, y = (seg.x, seg.y) if checked else seg
+    """Point gamma(t) on a geodesic segment; t may lie outside [0, 1].
+
+    A pair (x, y) has y checked as ``distance`` checks it: through the
+    pull-back x^{-1/2} y x^{-1/2}, whose power is taken.
+    """
+    x, y = (seg.x, seg.y) if isinstance(seg, GeodesicSegment) else seg
     xs, xis = spd_sqrt_pair(x)
-    if not checked:
-        y = require_spd(y)
     return as_sym(xs @ spd_pow(_pull_back(xis, y), t) @ xs)
 
 
@@ -95,10 +89,9 @@ def riem_log(x, y):
 
     Returns ``x^{1/2} log(x^{-1/2} y x^{-1/2}) x^{1/2}`` attached to x.
     """
-    x = as_sym(x)
     xs, xis = spd_sqrt_pair(x)
     u = spd_log(_pull_back(xis, y))
-    return _tangent(x, as_sym(xs @ u @ xs))
+    return TangentVector(x, xs @ u @ xs)
 
 
 def riem_exp(x, v):

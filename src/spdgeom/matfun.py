@@ -11,7 +11,8 @@ floats, about 260 KB at n = 64.
 
 Operands are checked one at a time for a finite square array (``_as_square``,
 ``as_sym``, ``require_spd``), then together, with the size of any subspace or
-partition, by the one size check ``_one_size``.
+partition, by the one size check ``_one_size``.  Every symmetric part, of an
+operand or of a result, is taken by ``_sym``.
 
 A caller's scalar phi goes through one checked map, ``_map_checked``, over
 the eigenvalues (``sym_apply``) or their differences (``ad_function_apply``).
@@ -19,9 +20,9 @@ It calls phi on one Python float at a time, as phi's contract promises.
 
 Positive definiteness is checked on the spectrum a function needs anyway.
 The one checked helper, ``_spd_eigen``, symmetrizes its input, decomposes it
-once and applies the rule lam_min > 1e-12 * max(1, lam_max); ``require_spd``
-and the ``spd_*`` functions are built on it.  Callers that need x^{1/2} or
-x^{-1/2} take them from that decomposition instead of validating x first.
+once and applies the ``SPD_TOL`` floor; ``require_spd`` and the ``spd_*``
+functions are built on it.  Callers that need x^{1/2} or x^{-1/2} take them
+from that decomposition instead of validating x first.
 """
 
 import functools
@@ -32,7 +33,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-# Relative eigenvalue floor for positive definiteness.
+# The floor of positive definiteness, the one rule every check applies: a
+# matrix passes when its symmetric part has lam_min > SPD_TOL * max(1, lam_max).
 SPD_TOL = 1e-12
 
 # Jacobi sweep control: reduce the off-diagonal Frobenius norm below
@@ -54,14 +56,18 @@ def _as_square(a):
     return a
 
 
+def _sym(m):
+    """The symmetric part m/2 + m^T/2, finite for every finite m (m + m^T can
+    overflow)."""
+    return m / 2.0 + m.T / 2.0
+
+
 def as_sym(a):
-    """Return the symmetric part A/2 + A^T/2 of a square matrix as float64,
-    finite for every finite input (A + A^T can overflow).
+    """Return the symmetric part of a square matrix as float64.
 
     Raises DomainError if the input is not a square 2-d array of size >= 1.
     """
-    a = _as_square(a)
-    return a / 2.0 + a.T / 2.0
+    return _sym(_as_square(a))
 
 
 def _one_size(*mats, n=None):
@@ -233,7 +239,7 @@ def _solve(n, key):
             flat[pr] = 0.0
             flat[rp] = 0.0
             q = q @ rot
-        work = work / 2.0 + work.T / 2.0
+        work = _sym(work)
         sweeps += 1
         off = _offdiag_norm(work)
 
@@ -246,26 +252,25 @@ def _solve(n, key):
 
 def _rebuild(eig, values):
     """Assemble q @ diag(values) @ q.T, symmetrized."""
-    m = (eig.q * values) @ eig.q.T
-    return m / 2.0 + m.T / 2.0
+    return _sym((eig.q * values) @ eig.q.T)
 
 
 def _sym_checked(raw, what):
     """The symmetric part of raw, which must be symmetric up to rounding."""
     if frobenius(raw - raw.T) > 1e-10 * max(1.0, frobenius(raw)):
         raise DomainError(f"{what} produced a non-symmetric result")
-    return raw / 2.0 + raw.T / 2.0
+    return _sym(raw)
 
 
 def _map_checked(phi, values, fn, at):
     """phi applied to each entry of a float array; DomainError names ``fn``
-    and the entry ``at`` which phi raises or returns a non-finite value."""
+    and the entry ``at`` where phi raises or returns a non-finite or non-real value."""
     out = np.empty_like(values)
     for idx, u in np.ndenumerate(values):
         u = float(u)
         try:
             v = float(phi(u))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"{fn} undefined at {at} {u:.6e}: {exc}") from exc
         if not math.isfinite(v):
             raise DomainError(f"{fn} is not finite at {at} {u:.6e}")
@@ -296,8 +301,8 @@ def _check_spd_spectrum(lam, what="matrix"):
 def _spd_eigen(x):
     """Eigendecomposition of a positive-definite matrix, checked on the way.
 
-    Symmetrizes x, decomposes it once and raises DomainError unless
-    lam_min > 1e-12 * max(1, lam_max).
+    Symmetrizes x, decomposes it once and raises DomainError below the
+    ``SPD_TOL`` floor.
     """
     eig = sym_eigen(x)
     _check_spd_spectrum(eig.lam)
@@ -314,10 +319,8 @@ def is_spd(x):
 
 
 def require_spd(x):
-    """Validate positive definiteness and return the symmetrized matrix.
-
-    A matrix passes when lam_min > 1e-12 * max(1, lam_max).
-    """
+    """Validate positive definiteness, the ``SPD_TOL`` floor, and return the
+    symmetrized matrix."""
     x = as_sym(x)
     _spd_eigen(x)
     return x

@@ -35,6 +35,8 @@ from .matfun import as_sym, frobenius, _one_size
 _DROP_TOL = 1e-10
 # A basis is taken as symmetric and orthonormal up to this entrywise error.
 _ORTHO_TOL = 1e-10
+# lts_check's default tolerance on a residual.
+_LTS_TOL = 1e-9
 # lts_check takes the outer basis elements in runs whose nested brackets fill
 # about this many floats (1 MiB), so that a small subspace takes one run and
 # a large one a bounded working set.
@@ -247,7 +249,7 @@ def _runs(meet, first, second, width):
     return [(lo, hi) for lo, hi in runs if count[lo:hi].any()]
 
 
-def lts_check(e, tol=1e-9):
+def lts_check(e, tol=_LTS_TOL):
     """Check whether nested brackets of basis elements stay in the subspace.
 
     Runs the full triple condition over all basis triples (which by
@@ -255,7 +257,7 @@ def lts_check(e, tol=1e-9):
     double-bracket form together with its polarized combinations.  The
     verdict ``is_lts`` comes from the triple condition; the double-bracket
     verdict is reported alongside and must agree.  The witness is the first
-    basis triple, in index order, with the largest relative residual.
+    basis triple, in index order, with the largest residual.
 
     Only products that can be nonzero are formed.  A bracket [B_j, B_k] is
     formed where B_j and B_k share a nonzero row, and a nested bracket
@@ -285,7 +287,6 @@ def lts_check(e, tol=1e-9):
     ridx = _nonzero_rows(b)
     pairs, brackets, c_rows = _nonzero_brackets(b, ridx)
     at = _reach(b, brackets)
-    norms = np.sqrt(np.einsum("kab,kab->k", b, b))
     first, second = pairs.T
     flat = b.reshape(k, n * n)[:, at[0]]
     # meet[p, m]: bracket p and B_m share a nonzero row, without which
@@ -303,12 +304,10 @@ def lts_check(e, tol=1e-9):
         dp, dh = np.nonzero(meet[held, :lo])
         x, p = np.concatenate([tx, dh]), np.concatenate([tp, held[dp]])
         off = _nested(b, ridx, brackets, x, p, flat, at)
-        rel = np.linalg.norm(off[: len(tx)], axis=1) / np.maximum(
-            1.0, norms[tx] * norms[first[tp]] * norms[second[tp]]
-        )
-        if len(rel) and rel.max() > max_residual:
-            t = int(np.argmax(rel))
-            max_residual, witness_at = float(rel[t]), (tx[t], tp[t], off[t].copy())
+        res = np.linalg.norm(off[: len(tx)], axis=1)
+        if len(res) and res.max() > max_residual:
+            t = int(np.argmax(res))
+            max_residual, witness_at = float(res[t]), (tx[t], tp[t], off[t].copy())
         # off[v] = [B_x, [B_y, B_z]] with (y, z) the pair p is a term of the
         # polarized sum over {x, y} and z, and -off[v] one of the sum over
         # {x, z} and y.  The sums whose larger outer element is in the run
@@ -330,12 +329,8 @@ def lts_check(e, tol=1e-9):
         for part in (~again, again):
             polar[where[part & ~minus]] += off[v[part & ~minus]]
             polar[where[part & minus]] -= off[v[part & minus]]
-        h, i, z = keys // (k * k), keys // k % k, keys % k
-        polar_rel = np.linalg.norm(polar, axis=1) / np.maximum(
-            1.0, norms[h] * norms[i] * norms[z]
-        )
-        if len(polar_rel):
-            double_max = max(double_max, float(polar_rel.max()))
+        if len(polar):
+            double_max = max(double_max, float(np.linalg.norm(polar, axis=1).max()))
 
     is_lts = max_residual <= tol
     witness = None
@@ -362,7 +357,7 @@ def lts_check(e, tol=1e-9):
     return report
 
 
-def multi_block_zero_diag_counterexample(num_blocks, block_size=1, tol=1e-9):
+def multi_block_zero_diag_counterexample(num_blocks, block_size=1, tol=_LTS_TOL):
     """Bracket check for the zero-diagonal-block subspace with >= 3 blocks.
 
     With three or more diagonal blocks this subspace is not closed under

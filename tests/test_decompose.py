@@ -219,6 +219,24 @@ class TestGeodesicProject:
         with pytest.raises(DomainError):
             geodesic_project(np.eye(3), diag_subspace(2))
 
+    def test_zero_subspace_projects_to_the_identity(self):
+        # The complement of the full subspace, dimension 0: exp(E) = {I}.
+        x = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        g = np.array([[1.0, 2.0, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 1.0]])
+        zero = orthogonal_complement(block_diag_subspace([3]))
+        assert zero.dim == 0
+        res = geodesic_project(x, zero)
+        m = mostow_spd(x, zero)
+        gl = mostow_gl(g, zero)
+        for out in (res, m, gl):
+            assert (out.iterations, out.residual) == (0, 0.0)
+        assert np.array_equal(res.pi, np.eye(3))
+        assert np.array_equal(m.pi, np.eye(3)) and np.array_equal(m.e, np.eye(3))
+        assert np.array_equal(m.f, x)
+        assert np.array_equal(gl.e, np.eye(3))
+        assert frobenius(gl.k.T @ gl.k - np.eye(3)) <= 1e-12
+        assert frobenius(gl.k @ gl.f - g) <= 1e-12 * frobenius(g)
+
     @pytest.mark.parametrize(
         "opts",
         [
@@ -380,6 +398,48 @@ class TestNewtonProjection:
         near = geodesic_project(x, e_sub)
         assert far.iterations == len(kinds)
         np.testing.assert_allclose(far.pi, near.pi, rtol=1e-9)
+
+
+CONGRUENCE_KINDS = ["diag", "block", "antiblock"]
+
+
+def _preserving_congruence(rng, kind):
+    """A subspace E of n x n matrices, 2 <= n <= 6, and a g whose congruence
+    maps exp(E) onto itself: diagonal for the diagonals, block-diagonal for
+    the blocks, block-orthogonal for the anti-diagonal blocks."""
+    n = int(rng.integers(2, 7))
+    p = int(rng.integers(1, n))
+    if kind == "diag":
+        signs = rng.choice([-1.0, 1.0], n)
+        return diag_subspace(n), np.diag(signs * np.exp(rng.uniform(-1.0, 1.0, n)))
+    if kind == "block":
+        blocks = random_invertible(rng, p), random_invertible(rng, n - p)
+        return block_diag_subspace([p, n - p]), scipy.linalg.block_diag(*blocks)
+    blocks = random_orthogonal(rng, p), random_orthogonal(rng, n - p)
+    return block_antidiag_subspace(p, n - p), scipy.linalg.block_diag(*blocks)
+
+
+class TestCongruenceEquivariance:
+    """A congruence that maps exp(E) onto itself is an isometry of the
+    manifold that keeps exp(E), so it carries the closest point along:
+    pi(g x g^T) = g pi(x) g^T."""
+
+    @pytest.mark.parametrize("kind", CONGRUENCE_KINDS)
+    @pytest.mark.parametrize(
+        "project",
+        [
+            pytest.param(lambda x, e: geodesic_project(x, e).pi, id="geodesic_project"),
+            pytest.param(lambda x, e: mostow_spd(x, e).pi, id="mostow_spd"),
+        ],
+    )
+    def test_closest_point_moves_with_the_congruence(self, project, kind):
+        rng = np.random.default_rng(CONGRUENCE_KINDS.index(kind))
+        for _ in range(60):
+            e_sub, g = _preserving_congruence(rng, kind)
+            x = random_spd(rng, e_sub.n, cond=100.0)
+            moved = g @ project(x, e_sub) @ g.T
+            error = frobenius(project(g @ x @ g.T, e_sub) - moved)
+            assert error <= 1e-9 * frobenius(moved)
 
 
 class TestMostowSpd:

@@ -90,6 +90,14 @@ class TestAdFunctionOperator:
             atol=1e-11,
         )
 
+    @pytest.mark.parametrize(
+        "phi", [lambda u: 1j * u, lambda u: None], ids=["complex", "none"]
+    )
+    def test_phi_that_is_not_real_is_undefined(self, phi):
+        op = AdFunctionOperator(base=np.diag([1.0, -1.0]), phi=phi)
+        with pytest.raises(DomainError, match="^ad-function undefined at eigenvalue"):
+            ad_function_apply(op, OFFDIAG)
+
     def test_undefined_at_difference(self):
         op = AdFunctionOperator(base=np.diag([1.0, -1.0]), phi=lambda u: 1.0 / u)
         with pytest.raises(DomainError) as info:

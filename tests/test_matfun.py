@@ -242,6 +242,12 @@ class TestSymApply:
         assert str(info.value) == (
             "scalar function is not finite at eigenvalue 1.000000e+00"
         )
+        # A negative base to a fractional power is a complex number in Python.
+        with pytest.raises(DomainError) as info:
+            sym_apply(np.diag([4.0, -2.0]), lambda u: u**0.5)
+        assert str(info.value).startswith(
+            "scalar function undefined at eigenvalue -2.000000e+00: "
+        )
 
 
 class TestExpLog:
