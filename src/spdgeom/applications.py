@@ -104,7 +104,7 @@ def _require_pattern(m, partition, diagonal, what):
     block-anti-diagonal, up to the structural tolerance."""
     outside = off_block_part if diagonal else block_diag_part
     residual = frobenius(outside(m, partition))
-    if residual > _STRUCT_TOL * max(1.0, frobenius(m)):
+    if residual > _STRUCT_TOL * frobenius(m):
         raise DomainError(f"{what} (residual {residual:.3e})")
 
 

@@ -127,7 +127,7 @@ def symmetrize_input(m, origin, warnings):
     larger is rejected.
     """
     asym = frobenius(m - m.T)
-    scale = max(1.0, frobenius(m))
+    scale = frobenius(m)
     if asym > _ASYM_TOL * scale:
         raise ParseError(
             f"{origin}: matrix is not symmetric (max asymmetry "
@@ -404,7 +404,7 @@ def _run(cmd, params):
     for key in cmd.outputs:
         outputs[key] = _matrix_out(getattr(result, key))
     if cmd.reconstruct is not None:
-        recon = frobenius(cmd.reconstruct(result) - x) / max(1.0, frobenius(x))
+        recon = frobenius(cmd.reconstruct(result) - x) / frobenius(x)
         outputs["reconstruction_residual"] = recon
     diagnostics.update(iterations=result.iterations, residual=result.residual)
     return inputs, outputs, diagnostics

@@ -285,9 +285,7 @@ def mostow_gl(g, e_sub, **opts):
     projection's start, and f^{+-1/2} come from the final iterate's z.
 
     g^T g must pass the positive-definiteness floor of every SPD input, on
-    the squares of g's singular values: sigma_min > 1e-6 * max(1, sigma_max).
-    The floor is absolute below 1, so a well-conditioned g of norm below
-    1e-6 is refused too; scale it up first.
+    the squares of g's singular values: sigma_min > 1e-6 * sigma_max.
     """
     return _mostow_gl(g, e_sub, opts)[0]
 

@@ -51,14 +51,17 @@ class TangentVector:
 
 @dataclass(eq=False)
 class GeodesicSegment:
-    """The unique geodesic through two points, parametrized so that
-    t=0 gives ``x`` and t=1 gives ``y``."""
+    """The unique geodesic through two points, parametrized so that t=0
+    gives ``x`` and t=1 gives ``y``; y is checked as ``distance`` checks it,
+    through the pull-back x^{-1/2} y x^{-1/2} that ``geodesic`` takes."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        self.x, self.y = _one_size(require_spd(self.x), require_spd(self.y))
+        _, xis = spd_sqrt_pair(self.x)
+        _spd_eigen(_pull_back(xis, self.y))
+        self.x, self.y = as_sym(self.x), as_sym(self.y)
 
 
 def _pull_back(xis, y):
@@ -76,8 +79,9 @@ def metric(x, u, v):
 def geodesic(seg, t):
     """Point gamma(t) on a geodesic segment; t may lie outside [0, 1].
 
-    A pair (x, y) has y checked as ``distance`` checks it: through the
-    pull-back x^{-1/2} y x^{-1/2}, whose power is taken.
+    y is checked as ``distance`` checks it, a pair's here and a segment's
+    when it is made: through the pull-back x^{-1/2} y x^{-1/2}, whose power
+    is taken.  That decomposition, and x's, are the two the call runs.
     """
     x, y = (seg.x, seg.y) if isinstance(seg, GeodesicSegment) else seg
     xs, xis = spd_sqrt_pair(x)
@@ -101,7 +105,7 @@ def riem_exp(x, v):
     if not isinstance(v, TangentVector):
         raise DomainError("riem_exp expects a TangentVector")
     x, base = _one_size(x, v.base)
-    if frobenius(base - x) > 1e-9 * max(1.0, frobenius(x)):
+    if frobenius(base - x) > 1e-9 * frobenius(x):
         raise DomainError("tangent vector is not based at the given point")
     return as_sym(xs @ spd_exp(_pull_back(xis, v.vec)) @ xs)
 
@@ -129,9 +133,10 @@ def congruence_action(g, x):
 
 
 def geodesic_symmetry(x, y):
-    """Point symmetry s_x(y) = x y^-1 x, the global symmetry fixing x."""
-    x, y_inv = _one_size(require_spd(x), spd_inv(y))
-    return as_sym(x @ y_inv @ x)
+    """Point symmetry s_x(y) = x y^-1 x, the global symmetry fixing x, as
+    x^{1/2} z^-1 x^{1/2} of the pull-back z = x^{-1/2} y x^{-1/2}."""
+    xs, xis = spd_sqrt_pair(x)
+    return as_sym(xs @ spd_inv(_pull_back(xis, y)) @ xs)
 
 
 def riemannian_angle(vertex, p, q):
@@ -172,11 +177,12 @@ def curvature_tensor_id(x, y, z):
     """Curvature operator R_{X,Y}Z = [[X, Y], Z] at the identity.
 
     For symmetric X, Y, Z the bracket [X, Y] is skew, so the result is again
-    symmetric; this is asserted before returning.
+    symmetric; this, and that it is finite, is asserted before returning.
     """
     x, y, z = _one_size(as_sym(x), as_sym(y), as_sym(z))
-    comm = x @ y - y @ x
-    return _sym_checked(comm @ z - z @ comm, "curvature")
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = x @ y - y @ x
+        return _sym_checked(comm @ z - z @ comm, "curvature")
 
 
 def sectional_curvature_id(x, y):
@@ -184,8 +190,14 @@ def sectional_curvature_id(x, y):
 
     K = <[[X, Y], X], Y> / (<X,X><Y,Y> - <X,Y>^2) with the trace inner
     product; always non-positive, and zero exactly when X and Y commute.
+    K is taken of X and Y divided by their norms, which it does not depend
+    on, so no scale overflows; a zero X or Y spans no plane.
     """
     x, y = _one_size(as_sym(x), as_sym(y))
+    nx, ny = frobenius(x), frobenius(y)
+    if nx == 0.0 or ny == 0.0:
+        raise DomainError("degenerate plane: tangent vectors are dependent")
+    x, y = x / nx, y / ny
     nx2 = tr_inner(x, x)
     ny2 = tr_inner(y, y)
     cross = tr_inner(x, y)

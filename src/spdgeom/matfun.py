@@ -16,17 +16,20 @@ operand or of a result, is taken by ``_sym``.
 
 A caller's scalar phi goes through one checked map, ``_map_checked``, over
 the eigenvalues (``sym_apply``) or their differences (``ad_function_apply``).
-It calls phi on one Python float at a time, as phi's contract promises.
+It calls phi on one Python float at a time and accepts only a real number back.
 
 Positive definiteness is checked on the spectrum a function needs anyway.
 The one checked helper, ``_spd_eigen``, symmetrizes its input, decomposes it
 once and applies the ``SPD_TOL`` floor; ``require_spd`` and the ``spd_*``
 functions are built on it.  Callers that need x^{1/2} or x^{-1/2} take them
-from that decomposition instead of validating x first.
+from that decomposition instead of validating x first.  Every check on a
+matrix is relative to it, so the library commutes with x -> 4^k x bit for bit.
 """
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +37,10 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 # The floor of positive definiteness, the one rule every check applies: a
-# matrix passes when its symmetric part has lam_min > SPD_TOL * max(1, lam_max).
+# matrix passes when its symmetric part has lam_min > SPD_TOL * lam_max and
+# lam_min above the smallest normal float.  Checks on logarithms (the
+# projection's and lts_check's tol, the factor checks in applications) stay
+# absolute: log(s x) = log x + log(s) I shifts rather than scales.
 SPD_TOL = 1e-12
 
 # Jacobi sweep control: reduce the off-diagonal Frobenius norm below
@@ -256,8 +262,10 @@ def _rebuild(eig, values):
 
 
 def _sym_checked(raw, what):
-    """The symmetric part of raw, which must be symmetric up to rounding."""
-    if frobenius(raw - raw.T) > 1e-10 * max(1.0, frobenius(raw)):
+    """The symmetric part of raw, which must be finite and symmetric to rounding."""
+    if not np.all(np.isfinite(raw)):
+        raise DomainError(f"{what} overflows")
+    if frobenius(raw - raw.T) > 1e-10 * frobenius(raw):
         raise DomainError(f"{what} produced a non-symmetric result")
     return _sym(raw)
 
@@ -269,7 +277,10 @@ def _map_checked(phi, values, fn, at):
     for idx, u in np.ndenumerate(values):
         u = float(u)
         try:
-            v = float(phi(u))
+            v = phi(u)
+            if not isinstance(v, numbers.Real):
+                raise TypeError(f"{type(v).__name__} is not a real number")
+            v = float(v)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"{fn} undefined at {at} {u:.6e}: {exc}") from exc
         if not math.isfinite(v):
@@ -291,10 +302,11 @@ def sym_apply(a, phi):
 def _check_spd_spectrum(lam, what="matrix"):
     lam_max = float(lam[0])
     lam_min = float(lam[-1])
-    if not lam_min > SPD_TOL * max(1.0, lam_max):
+    if not lam_min > max(SPD_TOL * lam_max, sys.float_info.min):
         raise DomainError(
             f"{what} is not positive definite: smallest eigenvalue {lam_min:.6e} "
-            f"below threshold {SPD_TOL:.0e} * max(1, {lam_max:.6e})"
+            f"below threshold max({SPD_TOL:.0e} * {lam_max:.6e}, "
+            f"{sys.float_info.min:.6e})"
         )
 
 

@@ -338,6 +338,47 @@ class TestUnreadablePayloads:
 
 
 class TestFarFromUnitScale:
+    def test_dist_of_small_matrices(self, capsys):
+        # The distance is invariant under x -> s x; the floor and the
+        # symmetry check are relative, so 2^-200 * (x, y) is no exception.
+        code, rep = run_cli(capsys, "dist", "[[1,0],[0,1]]", json.dumps(X22))
+        assert code == 0
+        small = [(2.0**-200 * np.array(m)).tolist() for m in (np.eye(2), X22)]
+        code, rep_small = run_cli(capsys, "dist", *map(json.dumps, small))
+        assert code == 0
+        assert rep_small["outputs"]["distance"] == rep["outputs"]["distance"]
+
+    def test_asymmetry_is_relative_to_the_norm(self, capsys):
+        # Asymmetry 1e-11 against a norm of about 1.4e-3: 7e-9 of the norm,
+        # past the 1e-9 rule, though below 1e-9 in absolute terms.
+        code, rep = run_cli(capsys, "logm", "[[1e-3,1e-11],[0,1e-3]]")
+        assert code == 2
+        assert rep["error"]["type"] == "parse"
+        assert "not symmetric" in rep["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "x, y, expected",
+        [
+            ("[[1e80,1e80],[1e80,0]]", "[[1e80,0],[0,0]]", -1.0),
+            ("[[1e80,0],[0,-1e80]]", "[[0,1e80],[1e80,0]]", -2.0),
+        ],
+        ids=["overflow", "orthogonal"],
+    )
+    def test_curvature_of_large_entries(self, capsys, tmp_path, x, y, expected):
+        # The squared norms of these overflow; the curvature is that of the
+        # same pair at unit scale.
+        code, rep = run_cli(capsys, "curvature", x, y)
+        assert code == 0
+        assert rep["outputs"]["sectional_curvature"] == pytest.approx(expected)
+        good = {"command": "dist", "a": "[[1,0],[0,1]]", "b": json.dumps(X22)}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([{"command": "curvature", "x": x, "y": y}, good]))
+        code = main(["batch", str(path)])
+        reports = json.loads(capsys.readouterr().out)
+        assert code == 0 and [r["exit_code"] for r in reports] == [0, 0]
+        assert reports[0]["outputs"]["sectional_curvature"] == pytest.approx(expected)
+        assert reports[1]["outputs"]["distance"] == pytest.approx(math.log(3.0))
+
     def test_singular_matrix_of_large_entries_is_refused(self, capsys):
         code, rep = run_cli(capsys, "logm", "[[1e160,1e160],[1e160,1e160]]")
         assert code == 3

@@ -532,18 +532,22 @@ class TestMostowGl:
         with pytest.raises(DomainError):
             mostow_gl(np.ones((2, 3)), diag_subspace(2))
 
-    def test_floor_on_g_transpose_g_is_absolute_below_one(self):
-        # g^T g must pass the SPD floor: sigma_min > 1e-6 * max(1, sigma_max).
-        # This g has condition ~7 and sigma_min ~0.54; scaled by 1e-5 it
-        # passes, by 1e-7 it does not, and the message names g^T g.
+    def test_floor_on_g_transpose_g_is_relative(self):
+        # g^T g must pass the SPD floor: sigma_min > 1e-6 * sigma_max, at any
+        # scale.  This g has condition ~7: scaled by 1e-7 or 1e-100 it still
+        # factors.  A g of condition above 1e6 is refused, with a message
+        # that names g^T g.
         g = np.array([[1.0, 2.0], [0.5, 3.0]])
-        for scale in (1.0, 1e-5):
+        for scale in (1.0, 1e-7, 1e-100):
             out = mostow_gl(scale * g, diag_subspace(2))
             recon = out.k @ out.f @ out.e
             assert frobenius(recon - scale * g) <= 1e-9 * frobenius(scale * g)
-        with pytest.raises(DomainError, match=r"^g\^T g, whose eigenvalues") as info:
-            mostow_gl(1e-7 * g, diag_subspace(2))
-        assert "is not positive definite" in str(info.value)
+        thin = np.array([[1.0, 0.0], [1.0, 2e-7]])
+        assert np.linalg.cond(thin) > 1e6
+        message = r"^g\^T g, whose eigenvalues .* is not positive definite"
+        for scale in (1.0, 1e-100):
+            with pytest.raises(DomainError, match=message):
+                mostow_gl(scale * thin, diag_subspace(2))
 
     def test_rejects_zero_matrix_without_warnings(self):
         with warnings.catch_warnings():

@@ -91,7 +91,9 @@ class TestAdFunctionOperator:
         )
 
     @pytest.mark.parametrize(
-        "phi", [lambda u: 1j * u, lambda u: None], ids=["complex", "none"]
+        "phi",
+        [lambda u: 1j * u, lambda u: None, lambda u: "3"],
+        ids=["complex", "none", "string"],
     )
     def test_phi_that_is_not_real_is_undefined(self, phi):
         op = AdFunctionOperator(base=np.diag([1.0, -1.0]), phi=phi)

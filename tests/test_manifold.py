@@ -407,3 +407,31 @@ class TestCurvature:
         x = np.diag([1.0, 2.0])
         with pytest.raises(DomainError):
             sectional_curvature_id(x, 2.0 * x)
+
+    @pytest.mark.parametrize("k", [200, 256, 1000, -200, -300, -1000])
+    def test_sectional_free_of_the_scale(self, k):
+        # K is unchanged by X -> aX, Y -> bY.  At 2^256 the product of the
+        # squared norms overflows and at 2^-300 it underflows, so K is taken
+        # of X and Y divided by their norms, which powers of two scale exactly.
+        rng = np.random.default_rng(31)
+        x, y = random_sym(rng, 3), random_sym(rng, 3)
+        expected = sectional_curvature_id(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sectional_curvature_id(2.0**k * x, 2.0**k * y) == expected
+            assert sectional_curvature_id(2.0**k * x, y) == expected
+
+    def test_sectional_of_a_zero_vector_is_a_degenerate_plane(self):
+        with pytest.raises(DomainError, match="^degenerate plane"):
+            sectional_curvature_id(np.zeros((2, 2)), OFFDIAG)
+        with pytest.raises(DomainError, match="^degenerate plane"):
+            sectional_curvature_id(OFFDIAG, np.zeros((2, 2)))
+
+    def test_tensor_that_overflows_is_a_domain_error(self):
+        # [[X, Y], Z] of entries near 1e110 has entries near 1e330.
+        rng = np.random.default_rng(32)
+        x, y, z = (1e110 * random_sym(rng, 2) for _ in range(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^curvature overflows$"):
+                curvature_tensor_id(x, y, z)

@@ -248,6 +248,13 @@ class TestSymApply:
         assert str(info.value).startswith(
             "scalar function undefined at eigenvalue -2.000000e+00: "
         )
+        # A string is not a number, though float() would parse this one.
+        with pytest.raises(DomainError) as info:
+            sym_apply(np.eye(2), lambda u: "3")
+        assert str(info.value) == (
+            "scalar function undefined at eigenvalue 1.000000e+00: "
+            "str is not a real number"
+        )
 
 
 class TestExpLog:
@@ -409,7 +416,7 @@ class TestValidation:
             require_spd(np.diag([1e5, -1e-3]))
 
     def test_require_spd_relative_to_largest(self):
-        # lam_min must clear spd_tol * max(1, lam_max).
+        # lam_min must clear SPD_TOL * lam_max.
         assert not is_spd(np.diag([1e6, 1e-7]))
         assert is_spd(np.diag([1e4, 1e-6]))
 

@@ -35,6 +35,7 @@ from spdgeom import (
     distance,
     geodesic,
     geodesic_project,
+    geodesic_symmetry,
     mostow_gl,
     mostow_spd,
     riem_exp,
@@ -59,7 +60,7 @@ BAD = {
     "negative": (
         -np.eye(2),
         "matrix is not positive definite: smallest eigenvalue -1.000000e+00 "
-        "below threshold 1e-12 * max(1, -1.000000e+00)",
+        "below threshold max(1e-12 * -1.000000e+00, 2.225074e-308)",
     ),
     "nan": (
         np.array([[1.0, np.nan], [np.nan, 1.0]]),
@@ -186,6 +187,12 @@ A12 = np.array([[0.0, 0.5, -0.3], [0.5, 0.0, 0.0], [-0.3, 0.0, 0.0]])
         pytest.param(distance, (X, Y), 2, id="distance"),
         # x and the pull-back of y, which checks y as distance's does.
         pytest.param(geodesic, ((X, Y), 0.3), 2, id="geodesic-tuple"),
+        # The segment checks y through the pull-back that geodesic takes.
+        pytest.param(
+            lambda: geodesic(GeodesicSegment(X, Y), 0.3), (), 2, id="geodesic-segment"
+        ),
+        # x and the pull-back of y, inverted: s_x(y) = x^{1/2} z^-1 x^{1/2}.
+        pytest.param(geodesic_symmetry, (X, Y), 2, id="geodesic_symmetry"),
         pytest.param(riem_log, (X, Y), 2, id="riem_log"),
         pytest.param(riemannian_angle, (X, Y, Z), 3, id="riemannian_angle"),
         pytest.param(al_kashi_slack, (X, Y, Z), 8, id="al_kashi_slack"),
