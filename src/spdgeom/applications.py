@@ -28,9 +28,12 @@ from .matfun import (
     spd_exp,
     sym_eigen,
     _as_square,
+    _congruence,
+    _finite,
     _map_checked,
     _one_size,
     _rebuild,
+    _sym,
 )
 from .subspace import (
     _check_partition,
@@ -134,7 +137,8 @@ def correlation_normalize(cov):
     cov = require_spd(cov)
     variances = np.diag(cov).copy()
     inv_root = 1.0 / np.sqrt(variances)
-    corr = as_sym(cov * np.outer(inv_root, inv_root))
+    # |cov_ij| <= sqrt(cov_ii cov_jj) for a positive-definite cov: no overflow.
+    corr = _sym(cov * np.outer(inv_root, inv_root))
     np.fill_diagonal(corr, 1.0)
     return corr, np.diag(variances)
 
@@ -241,8 +245,8 @@ def cosh_sinh_split(d, a, partition):
     )
     exp_d = spd_exp(d)
     return BlockSplit(
-        d_part=as_sym(exp_d @ cosh_a @ exp_d),
-        a_part=as_sym(exp_d @ sinh_a @ exp_d),
+        d_part=_congruence(exp_d, cosh_a, "cosh_sinh_split"),
+        a_part=_congruence(exp_d, sinh_a, "cosh_sinh_split"),
     )
 
 
@@ -260,8 +264,11 @@ def ada_sum_split(a_prime, d_prime, partition):
     _require_pattern(d_prime, partition, True, "second factor is not block-diagonal")
     cosh_a, sinh_a = _cosh_sinh(a_prime)
     exp_d = spd_exp(d_prime)
-    d_part = as_sym(cosh_a @ exp_d @ cosh_a + sinh_a @ exp_d @ sinh_a)
-    a_part = as_sym(cosh_a @ exp_d @ sinh_a + sinh_a @ exp_d @ cosh_a)
+    what = "ada_sum_split"
+    with np.errstate(over="ignore", invalid="ignore"):
+        even = _congruence(cosh_a, exp_d, what) + _congruence(sinh_a, exp_d, what)
+        odd = cosh_a @ exp_d @ sinh_a + sinh_a @ exp_d @ cosh_a
+        d_part, a_part = _finite(even, what), _sym(_finite(odd, what))
     _require_pattern(
         d_part, partition, True, "even cross terms left the block-diagonal pattern"
     )
@@ -290,8 +297,9 @@ class Sl2Factors:
 def sl2_decompose(g, **opts):
     """Factor a determinant-one 2 x 2 matrix as rotation * hyperbolic * dilation."""
     g = _one_size(_as_square(g), n=2)
-    det = float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-    if abs(det - 1.0) > 1e-9:
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
+    if not abs(det - 1.0) <= 1e-9:
         raise DomainError(f"determinant must be 1, got {det!r}")
     factors, cur = _mostow_gl(g, sl2_traceless_diag_subspace(), opts)
     log_e, log_f = cur.logs(0.5)  # the factor f of g is z^{1/2}

@@ -359,6 +359,11 @@ def _option(params, key, opt):
     converted = _convert(opt.type, value, f"bad value for option {key!r}")
     if _unfit(converted):
         raise ParseError(f"option {key!r} is not a finite number: {value!r}")
+    if opt.choices is not None and converted not in opt.choices:
+        raise ParseError(
+            f"bad value for option {key!r}: {value!r} is not one of "
+            + ", ".join(opt.choices)
+        )
     return converted
 
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .dexp import _ad_gram, _kernel_sinh_ratio, _kernel_u_coth_half
 from .errors import ConvergenceError, DomainError
-from .manifold import _pull_back
 from .matfun import (
     as_sym,
     frobenius,
@@ -45,9 +44,12 @@ from .matfun import (
     sym_eigen,
     _as_square,
     _check_spd_spectrum,
+    _congruence,
+    _finite,
     _one_size,
     _rebuild,
     _spd_eigen,
+    _sym,
 )
 from .subspace import Subspace, lts_check, project_trace
 
@@ -119,13 +121,12 @@ class _Iterate:
         self.w = w
         self.basis = e_sub.basis
         self.eig_w = sym_eigen(w)
-        self.z = _pull_back(self.exp_w(-0.5), x)
+        what = "y^-1/2 x y^-1/2 at the projection iterate"
+        self.z = _congruence(self.exp_w(-0.5), x, what)
         self.eig_z = eig_z = sym_eigen(self.z)
         lam = eig_z.lam
         cond = lam[0] / lam[-1] if lam[-1] > 0 else math.inf
-        _check_spd_spectrum(
-            lam, f"y^-1/2 x y^-1/2 at the projection iterate y (condition {cond:.1e})"
-        )
+        _check_spd_spectrum(lam, f"{what} y (condition {cond:.1e})")
         # u = log z = Q diag(mu) Q^T; |mu| is the distance d(y, x).
         self.mu = np.log(lam)
         # Row i: Q^T B_i Q as n^2 entries (dim E = 0 too); its diagonal gives <B_i, u>.
@@ -262,7 +263,8 @@ def mostow_spd(x, e_sub, **opts):
 def _mostow_gl(g, e_sub, opts):
     """``mostow_gl`` and the final iterate of the projection of g^T g."""
     g = _as_square(g)
-    s = as_sym(g.T @ g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _sym(_finite(g.T @ g, "mostow_gl"))
     eig = sym_eigen(s)
     _check_spd_spectrum(
         eig.lam, "g^T g, whose eigenvalues are the squared singular values of g,"
@@ -308,7 +310,7 @@ class TranslatedSubmanifold:
     def membership_residual(self, y):
         """Norm of the E-orthogonal part of log(x^{-1/2} y x^{-1/2})."""
         _, xis = spd_sqrt_pair(self.base)
-        u = spd_log(_pull_back(xis, y))
+        u = spd_log(_congruence(xis, as_sym(y), "membership_residual"))
         return frobenius(u - project_trace(self.subspace, u))
 
     def contains(self, y, tol=1e-9):
@@ -317,7 +319,7 @@ class TranslatedSubmanifold:
     def point(self, u):
         """The member x^{1/2} exp(u) x^{1/2} for u in E."""
         xs, _ = spd_sqrt_pair(self.base)
-        return as_sym(xs @ spd_exp(project_trace(self.subspace, u)) @ xs)
+        return _congruence(xs, spd_exp(project_trace(self.subspace, u)), "point")
 
 
 def translate_convex_submanifold(x, e_sub):

@@ -33,6 +33,8 @@ from .matfun import (
     as_sym,
     sym_eigen,
     _as_square,
+    _congruence,
+    _finite,
     _map_checked,
     _one_size,
     _rebuild,
@@ -43,7 +45,8 @@ from .matfun import (
 def ad(x, y):
     """Commutator XY - YX of a symmetric X with an arbitrary square Y."""
     x, y = _one_size(as_sym(x), _as_square(y))
-    return x @ y - y @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(x @ y - y @ x, "ad")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +75,9 @@ def _scaled(eig, y, scale):
     """phi(ad(X))(Y) for X = Q diag(lambda) Q^T: Q^T Y Q scaled entrywise by
     scale(lambda_i - lambda_j), which maps the differences to phi values."""
     diffs = eig.lam[:, None] - eig.lam[None, :]
-    m = eig.q.T @ y @ eig.q
-    return eig.q @ (scale(diffs) * m) @ eig.q.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = eig.q.T @ y @ eig.q
+        return eig.q @ (scale(diffs) * m) @ eig.q.T
 
 
 def _ad_gram(rotated, lam, scale):
@@ -92,13 +96,15 @@ def ad_function_apply(op, y):
     """
     eig, y = _in_eigenbasis(op.base, y)
     at = "eigenvalue difference"
-    return _scaled(eig, y, lambda u: _map_checked(op.phi, u, "ad-function", at))
+    out = _scaled(eig, y, lambda u: _map_checked(op.phi, u, "ad-function", at))
+    return _finite(out, "ad_function_apply")
 
 
 def _continued(w, f, limit):
     """f(w) entrywise, continued by its limit value where w = 0."""
     safe = np.where(w == 0.0, 1.0, w)
-    return np.where(w == 0.0, limit, f(safe))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(w == 0.0, limit, f(safe))
 
 
 def _kernel_sinh_ratio(u):
@@ -136,9 +142,10 @@ def tau_inv(x, y):
 def dexp_apply(x, y):
     """Differential of exp at X applied to Y: exp(X/2) tau_X(Y) exp(X/2)."""
     eig, y = _in_eigenbasis(x, y)
-    half = _rebuild(eig, np.exp(eig.lam / 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = _rebuild(eig, np.exp(eig.lam / 2.0))
     t = _sym_checked(_scaled(eig, y, _kernel_sinh_ratio), "tau")
-    return as_sym(half @ t @ half)
+    return _congruence(half, t, "dexp_apply")
 
 
 def dexp_apply_left(x, y):
@@ -150,7 +157,8 @@ def dexp_apply_left(x, y):
     (lambda_i - lambda_j): symmetric whatever the spread of the spectrum.
     """
     eig, y = _in_eigenbasis(x, y)
-    rows = np.exp(eig.lam)[:, None]
+    with np.errstate(over="ignore"):
+        rows = np.exp(eig.lam)[:, None]
     inner = _scaled(eig, y, lambda u: rows * _kernel_exp_ratio(u))
     return _sym_checked(inner, "dexp_apply_left")
 
@@ -158,8 +166,9 @@ def dexp_apply_left(x, y):
 def dexp_inv_apply(x, z):
     """Inverse differential: tau_X^{-1}(exp(-X/2) Z exp(-X/2))."""
     eig, z = _in_eigenbasis(x, z)
-    half_inv = _rebuild(eig, np.exp(-eig.lam / 2.0))
-    conj = as_sym(half_inv @ z @ half_inv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_inv = _rebuild(eig, np.exp(-eig.lam / 2.0))
+    conj = _congruence(half_inv, z, "dexp_inv_apply")
     return _sym_checked(_scaled(eig, conj, _kernel_inv_sinh_ratio), "dexp_inv_apply")
 
 
@@ -187,11 +196,16 @@ def integrate_conjugation_flow(x0, y, t, steps=100):
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise DomainError("steps must be an integer >= 1")
     h = float(t) / steps
+
+    def field(point):
+        return conjugation_flow_field(_finite(point, "integrate_conjugation_flow"), y)
+
     cur = x0
-    for _ in range(steps):
-        k1 = conjugation_flow_field(cur, y)
-        k2 = conjugation_flow_field(cur + 0.5 * h * k1, y)
-        k3 = conjugation_flow_field(cur + 0.5 * h * k2, y)
-        k4 = conjugation_flow_field(cur + h * k3, y)
-        cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            k1 = field(cur)
+            k2 = field(cur + 0.5 * h * k1)
+            k3 = field(cur + 0.5 * h * k2)
+            k4 = field(cur + h * k3)
+            cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _finite(cur, "integrate_conjugation_flow")

@@ -28,6 +28,8 @@ from .matfun import (
     spd_sqrt_pair,
     tr_inner,
     _as_square,
+    _congruence,
+    _finite,
     _one_size,
     _spd_eigen,
     _sym_checked,
@@ -60,20 +62,16 @@ class GeodesicSegment:
 
     def __post_init__(self):
         _, xis = spd_sqrt_pair(self.x)
-        _spd_eigen(_pull_back(xis, self.y))
+        _spd_eigen(_congruence(xis, as_sym(self.y), "GeodesicSegment"))
         self.x, self.y = as_sym(self.x), as_sym(self.y)
-
-
-def _pull_back(xis, y):
-    """x^{-1/2} y x^{-1/2} for y symmetrized and of x's size."""
-    xis, y = _one_size(xis, as_sym(y))
-    return as_sym(xis @ y @ xis)
 
 
 def metric(x, u, v):
     """Inner product tr(x^-1 u x^-1 v) of tangent vectors u, v at x."""
     xi, u, v = _one_size(spd_inv(x), as_sym(u), as_sym(v))
-    return float(np.trace(xi @ u @ xi @ v))
+    pulled = _congruence(xi, u, "metric")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(np.tensordot(pulled, v)), "metric")
 
 
 def geodesic(seg, t):
@@ -85,7 +83,8 @@ def geodesic(seg, t):
     """
     x, y = (seg.x, seg.y) if isinstance(seg, GeodesicSegment) else seg
     xs, xis = spd_sqrt_pair(x)
-    return as_sym(xs @ spd_pow(_pull_back(xis, y), t) @ xs)
+    z = _congruence(xis, as_sym(y), "geodesic")
+    return _congruence(xs, spd_pow(z, t), "geodesic")
 
 
 def riem_log(x, y):
@@ -94,8 +93,8 @@ def riem_log(x, y):
     Returns ``x^{1/2} log(x^{-1/2} y x^{-1/2}) x^{1/2}`` attached to x.
     """
     xs, xis = spd_sqrt_pair(x)
-    u = spd_log(_pull_back(xis, y))
-    return TangentVector(x, xs @ u @ xs)
+    u = spd_log(_congruence(xis, as_sym(y), "riem_log"))
+    return TangentVector(x, _congruence(xs, u, "riem_log"))
 
 
 def riem_exp(x, v):
@@ -107,7 +106,8 @@ def riem_exp(x, v):
     x, base = _one_size(x, v.base)
     if frobenius(base - x) > 1e-9 * frobenius(x):
         raise DomainError("tangent vector is not based at the given point")
-    return as_sym(xs @ spd_exp(_pull_back(xis, v.vec)) @ xs)
+    u = spd_exp(_congruence(xis, v.vec, "riem_exp"))
+    return _congruence(xs, u, "riem_exp")
 
 
 def distance(x, y):
@@ -117,7 +117,7 @@ def distance(x, y):
     x^{-1/2} y x^{-1/2} so all spectral work stays symmetric.
     """
     _, xis = spd_sqrt_pair(x)
-    eig = _spd_eigen(_pull_back(xis, y))
+    eig = _spd_eigen(_congruence(xis, as_sym(y), "distance"))
     return float(math.sqrt(np.sum(np.log(eig.lam) ** 2)))
 
 
@@ -129,14 +129,17 @@ def congruence_action(g, x):
     if sv[-1] <= 1e-12 * sv[0]:
         raise DomainError("congruence factor is numerically singular")
     g, x = _one_size(g, require_spd(x))
-    return require_spd(g @ x @ g.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = _finite(g @ x @ g.T, "congruence_action")
+    return require_spd(gx)
 
 
 def geodesic_symmetry(x, y):
     """Point symmetry s_x(y) = x y^-1 x, the global symmetry fixing x, as
     x^{1/2} z^-1 x^{1/2} of the pull-back z = x^{-1/2} y x^{-1/2}."""
     xs, xis = spd_sqrt_pair(x)
-    return as_sym(xs @ spd_inv(_pull_back(xis, y)) @ xs)
+    z = _congruence(xis, as_sym(y), "geodesic_symmetry")
+    return _congruence(xs, spd_inv(z), "geodesic_symmetry")
 
 
 def riemannian_angle(vertex, p, q):
@@ -147,8 +150,8 @@ def riemannian_angle(vertex, p, q):
     [0, pi].
     """
     _, vis = spd_sqrt_pair(vertex)
-    a = spd_log(_pull_back(vis, p))
-    b = spd_log(_pull_back(vis, q))
+    a = spd_log(_congruence(vis, as_sym(p), "riemannian_angle"))
+    b = spd_log(_congruence(vis, as_sym(q), "riemannian_angle"))
     na = frobenius(a)
     nb = frobenius(b)
     if na <= _DEGENERATE_DIST or nb <= _DEGENERATE_DIST:

@@ -12,7 +12,11 @@ floats, about 260 KB at n = 64.
 Operands are checked one at a time for a finite square array (``_as_square``,
 ``as_sym``, ``require_spd``), then together, with the size of any subspace or
 partition, by the one size check ``_one_size``.  Every symmetric part, of an
-operand or of a result, is taken by ``_sym``.
+operand or of a result, is taken by ``_sym``.  A result formed from checked
+operands is closed by ``_finite``, the one source of "... overflows".  The
+congruence a m a, for a symmetric a the library built (x^{+-1/2} in the
+pull-back and push-forward of every Log, Exp and geodesic), is formed in one
+place, ``_congruence``, and closed there.
 
 A caller's scalar phi goes through one checked map, ``_map_checked``, over
 the eigenvalues (``sym_apply``) or their differences (``ad_function_apply``).
@@ -48,7 +52,9 @@ SPD_TOL = 1e-12
 _JACOBI_TOL = 1e-14
 _MAX_SWEEPS = 50
 
-# Distinct inputs sym_eigen keeps; geodesic((x, y), t) takes x, y, z, then x.
+# Distinct inputs sym_eigen keeps: geodesic((x, y), t) takes x and the
+# pull-back; riem_log's x is riem_exp's again, dexp_apply's X dexp_inv_apply's,
+# and the check of mostow_gl's g^T g is its projection's start.
 _CACHE_SIZE = 4
 
 
@@ -87,6 +93,22 @@ def _one_size(*mats, n=None):
     return mats[0] if len(mats) == 1 else mats
 
 
+def _finite(v, what):
+    """v, a result formed from checked operands: DomainError "{what}
+    overflows" unless every entry is finite."""
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{what} overflows")
+    return v
+
+
+def _congruence(a, m, what):
+    """The symmetric part of a @ m @ a for a symmetric a and an m of its size;
+    DomainError "{what} overflows" where the product does."""
+    a, m = _one_size(a, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sym(_finite(a @ m @ a, what))
+
+
 def frobenius(a):
     """Frobenius norm, free of the overflow and underflow of the squares.
 
@@ -111,7 +133,8 @@ def frobenius(a):
 def tr_inner(a, b):
     """Trace inner product Tr(AB) of two symmetric matrices of one size."""
     a, b = _one_size(_as_square(a), _as_square(b))
-    return float(np.tensordot(a, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(np.tensordot(a, b)), "tr_inner")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +286,7 @@ def _rebuild(eig, values):
 
 def _sym_checked(raw, what):
     """The symmetric part of raw, which must be finite and symmetric to rounding."""
-    if not np.all(np.isfinite(raw)):
-        raise DomainError(f"{what} overflows")
+    _finite(raw, what)
     if frobenius(raw - raw.T) > 1e-10 * frobenius(raw):
         raise DomainError(f"{what} produced a non-symmetric result")
     return _sym(raw)

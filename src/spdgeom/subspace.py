@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParseError, _convert, _parse_json, _read_text
-from .matfun import as_sym, frobenius, _one_size
+from .matfun import as_sym, frobenius, _finite, _one_size
 
 # Generators whose orthogonal residual falls below this fraction of the
 # largest generator norm are treated as dependent and dropped.
@@ -43,12 +43,14 @@ _LTS_TOL = 1e-9
 _RUN_FLOATS = 2**17
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Orthonormal basis of a linear subspace of symmetric n x n matrices,
     checked on construction (DomainError otherwise).
 
-    Equality is identity: the generated ``__eq__`` would compare arrays."""
+    Frozen, and the basis is a read-only copy of the one given, so the
+    checks and the cached ``lts_check`` report keep holding.  Equality is
+    identity: the generated ``__eq__`` would compare arrays."""
 
     n: int
     basis: np.ndarray  # shape (k, n, n)
@@ -59,17 +61,19 @@ class Subspace:
         return int(self.basis.shape[0])
 
     def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=float)
-        if self.basis.ndim != 3 or self.basis.shape[1:] != (self.n, self.n):
+        basis = np.array(self.basis, dtype=float)
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
+        if basis.ndim != 3 or basis.shape[1:] != (self.n, self.n):
             raise DomainError(
                 f"basis must have shape (k, {self.n}, {self.n}), "
-                f"got {self.basis.shape}"
+                f"got {basis.shape}"
             )
-        if not np.all(np.isfinite(self.basis)):
+        if not np.all(np.isfinite(basis)):
             raise DomainError("basis has non-finite entries")
         # Projections and the bracket check take the basis as orthonormal.
-        skew = np.abs(self.basis - self.basis.transpose(0, 2, 1)).max(initial=0.0)
-        flat = self.basis.reshape(self.dim, self.n * self.n)
+        skew = np.abs(basis - basis.transpose(0, 2, 1)).max(initial=0.0)
+        flat = basis.reshape(self.dim, self.n * self.n)
         off = np.abs(flat @ flat.T - np.eye(self.dim)).max(initial=0.0)
         if skew > _ORTHO_TOL or off > _ORTHO_TOL:
             raise DomainError(
@@ -79,21 +83,22 @@ class Subspace:
             )
 
 
-def build_subspace(generators, drop_tol=_DROP_TOL):
+def build_subspace(generators):
     """Orthonormalize symmetric generators by modified Gram-Schmidt.
 
-    Dependent generators (residual norm below ``drop_tol`` times the largest
-    generator norm) are dropped.  Raises DomainError when every generator is
-    numerically zero.
+    Dependent generators (residual norm below ``_DROP_TOL`` times the largest
+    generator norm) are dropped, a rule free of the scale: 2**k times the
+    generators give the same basis.  Raises DomainError when every generator
+    is zero.
     """
     mats = [as_sym(g) for g in generators]
     if not mats:
         raise DomainError("cannot build a subspace from no generators")
     _one_size(*mats)
-    max_norm = max(frobenius(g) for g in mats)
-    if max_norm <= 1e-12:
-        raise DomainError("all generators are numerically zero")
-    basis = _gram_schmidt(mats, drop_tol * max_norm)
+    max_norm = _finite(max(frobenius(g) for g in mats), "build_subspace")
+    if max_norm == 0.0:
+        raise DomainError("all generators are zero")
+    basis = _gram_schmidt(mats, _DROP_TOL * max_norm)
     return Subspace(n=mats[0].shape[0], basis=np.stack(basis))
 
 

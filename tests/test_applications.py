@@ -324,6 +324,11 @@ class TestSl2:
         with pytest.raises(DomainError):
             sl2_decompose(np.diag([2.0, 1.0]))
 
+    def test_determinant_that_overflows_is_refused(self):
+        # inf - inf: a nan determinant once passed the check.
+        with pytest.raises(DomainError, match="determinant must be 1, got nan"):
+            sl2_decompose(np.full((2, 2), 1e200))
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):
             sl2_decompose(np.eye(3))

@@ -393,6 +393,25 @@ class TestFarFromUnitScale:
         assert rep["outputs"]["is_lts"]
 
 
+    def test_generator_whose_norm_overflows(self, capsys, tmp_path):
+        # Its norm is beyond the floats; the parse once ended in a traceback.
+        path = tmp_path / "sub.json"
+        path.write_text('{"n": 2, "generators": [[[1.7e308, 1.7e308], [1.7e308, 0]]]}')
+        code, rep = run_cli(capsys, "lts", f"file:{path}")
+        assert code == 3
+        assert rep["error"]["message"] == "build_subspace overflows"
+
+    def test_geodesic_that_overflows(self, capsys):
+        # Finite operands whose geodesic point leaves the floats: one report,
+        # one stderr line, no numpy warning.
+        a, b = "[[1e200,0],[0,1e200]]", "[[1e200,0],[0,2e200]]"
+        code = main(["geodesic", a, b, "--t", "1000"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out)["error"]["message"] == "geodesic overflows"
+        assert captured.err == "spd: geodesic overflows\n"
+
+
 class TestWarningsAndEnv:
     def test_small_asymmetry_symmetrized_with_warning(self, capsys):
         rows = [[1.0, 1e-12], [0.0, 1.0]]
@@ -457,6 +476,28 @@ class TestBatch:
         assert reports[3]["outputs"]["sectional_curvature"] == pytest.approx(-2.0)
         # Aggregated exit code is the first non-zero entry code.
         assert code == 3
+
+    def test_option_outside_its_choices(self, capsys, tmp_path):
+        # An entry's --format is held to json and csv, as on the command
+        # line; the entry gets a parse report and the others still run.
+        csv = tmp_path / "a.csv"
+        csv.write_text("2,1\n1,2\n")
+        a_json = write_json(tmp_path, "a.json", X22)
+        manifest = [
+            {"command": "logm", "x": a_json, "format": "xml"},
+            {"command": "logm", "x": str(csv), "format": "xml"},
+            {"command": "logm", "x": str(csv)},
+        ]
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(manifest))
+        code = main(["batch", str(path)])
+        reports = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert [r["exit_code"] for r in reports] == [2, 2, 0]
+        for rep in reports[:2]:
+            assert rep["error"]["type"] == "parse"
+            assert "option 'format'" in rep["error"]["message"]
+            assert "'xml' is not one of json, csv" in rep["error"]["message"]
 
     def test_all_green_batch(self, capsys, tmp_path):
         manifest = [

@@ -1,6 +1,7 @@
 """Source layout: no line of the package is longer than 88 columns, every
-eigendecomposition goes through the one solver in ``matfun``, and every
-symmetric part through its one helper there."""
+eigendecomposition goes through the one solver in ``matfun``, every symmetric
+part and every congruence a @ m @ a through its one helper there, and the
+operand checks see operands only."""
 
 import ast
 import re
@@ -76,3 +77,73 @@ def test_only_one_helper_writes_the_symmetric_part():
         for name in _symmetric_parts(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == ["matfun.py: _sym"]
+
+
+def _innermost(funcs, node):
+    around = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+    return around[-1] if around else "<module>"
+
+
+def _congruences(tree):
+    """(innermost function, text) of each a @ m @ a with one a on both sides,
+    grouped either way."""
+    funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)):
+            continue
+        for inner, outer in ((node.left, node.right), (node.right, node.left)):
+            if isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.MatMult):
+                end = inner.left if inner is node.left else inner.right
+                if ast.unparse(end) == ast.unparse(outer):
+                    yield _innermost(funcs, node), ast.unparse(node)
+
+
+def test_only_one_helper_forms_a_congruence():
+    # Each copy of a m a once closed its product with the operand check and
+    # reported an overflow as a non-finite operand; the one helper closes it
+    # with "... overflows".  The CLI's reconstruction residual re-multiplies
+    # a result to measure it, and is no congruence of the library's.
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, text in _congruences(ast.parse(path.read_text(encoding="utf-8")))
+        if not (path.name == "cli.py" and text == "r.e @ r.f @ r.e")
+    ]
+    assert found == ["matfun.py: _congruence"]
+
+
+OPERAND_CHECKS = {"as_sym", "_as_square", "require_spd"}
+
+
+def _checked_expressions(tree):
+    """The arithmetic expressions passed to an operand check."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in OPERAND_CHECKS:
+            for arg in node.args:
+                if isinstance(arg, (ast.BinOp, ast.UnaryOp)):
+                    yield node.lineno, ast.unparse(node)
+
+
+def test_operand_checks_take_operands_only():
+    # A product handed to as_sym reports its overflow as "matrix contains
+    # non-finite entries", an operand's message; results close with _finite.
+    found = [
+        f"{path.name}:{line}: {text}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, text in _checked_expressions(ast.parse(path.read_text("utf-8")))
+    ]
+    assert found == []
+
+
+def test_the_pull_back_is_the_congruence():
+    defined = [
+        f"{path.name}: {node.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_pull_back"
+    ]
+    assert defined == []

@@ -66,6 +66,17 @@ class TestMetric:
         )
         assert metric(x, u, u) > 0
 
+    @pytest.mark.parametrize(
+        "x, u", [(1e-300, 1e300), (1.0, 1e200)], ids=["pull-back", "trace"]
+    )
+    def test_value_that_overflows_is_a_domain_error(self, x, u):
+        # x^-1 u x^-1, or its trace against v, leaves the floats; the value
+        # once came back as nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^metric overflows$"):
+                metric(x * np.eye(2), u * np.eye(2), u * np.eye(2))
+
 
 class TestGeodesic:
     def test_midpoint_of_diagonal(self):

@@ -5,7 +5,8 @@ for an operand of another size than its partners (another matrix, or the
 subspace or partition it acts with), for a non-square operand and for a
 non-finite one.  It never lets a raw numpy error or a RuntimeWarning through
 (the suite turns RuntimeWarnings into errors).  Valid operands give symmetric
-results wherever the docstring promises symmetry.
+results wherever the docstring promises symmetry, and valid operands scaled
+far from unit scale give a finite result or a DomainError.
 
 ``CONTRACT`` names every such callable with the roles of its matrix
 operands.  A public callable that is in neither it, ``NO_MATRIX`` nor
@@ -15,6 +16,7 @@ function cannot skip the contract.
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -247,6 +249,25 @@ NON_SQUARE = {
 }
 
 
+# Exponents k of the scale 2**k of the "far" case: each operand is scaled by
+# it, which makes the products the library forms overflow or underflow.
+FAR = (-1000, -600, 600, 1000)
+
+
+def _finite(value):
+    """True when every number in a result is finite, through its fields."""
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return all(_finite(getattr(value, f.name)) for f in fields)
+    if isinstance(value, (tuple, list)):
+        return all(_finite(item) for item in value)
+    if isinstance(value, dict):
+        return all(_finite(item) for item in value.values())
+    if isinstance(value, (np.ndarray, numbers.Real)):
+        return bool(np.all(np.isfinite(value)))
+    return True
+
+
 def _operands(rng, op, n):
     ops = [MAKE[role](rng, n) for role in op.roles]
     return [ops[0].copy() if role == "same" else m for role, m in zip(op.roles, ops)]
@@ -260,7 +281,7 @@ def _symmetric(m):
 def _cases():
     for name, op in sorted(CONTRACT.items()):
         partnered = len(op.roles) > 1 or op.sized
-        for case in ("valid", "mismatch", "non_square", "non_finite"):
+        for case in ("valid", "mismatch", "non_square", "non_finite", "far"):
             if case != "mismatch" or partnered:
                 yield pytest.param(name, case, id=f"{name}-{case}")
 
@@ -276,6 +297,14 @@ def test_operand_contract(name, case, data):
     if case == "valid":
         result = op.call(n, *ops)
         assert all(_symmetric(m) for m in op.sym(result))
+        return
+    if case == "far":
+        k = data.draw(st.sampled_from(FAR), label="k")
+        try:
+            result = op.call(n, *(np.ldexp(m, k) for m in ops))
+        except s.DomainError:
+            return
+        assert _finite(result)
         return
     # Each operand in turn is the bad one.
     for at, role in enumerate(op.roles):

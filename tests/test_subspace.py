@@ -1,5 +1,6 @@
 """Subspace construction, projection, complements and bracket closure."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -120,8 +121,11 @@ class TestBuild:
         np.testing.assert_allclose(sub.basis[0], OFFDIAG / math.sqrt(2.0))
 
     def test_all_zero_rejected(self):
-        with pytest.raises(DomainError):
-            build_subspace([np.zeros((2, 2)), 1e-15 * np.eye(2)])
+        with pytest.raises(DomainError, match="all generators are zero"):
+            build_subspace([np.zeros((2, 2)), np.zeros((2, 2))])
+        # The floor is relative: a small generator is not a zero one.
+        sub = build_subspace([np.zeros((2, 2)), 1e-15 * np.eye(2)])
+        np.testing.assert_allclose(sub.basis, [np.eye(2) / math.sqrt(2.0)], rtol=1e-15)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DomainError):
@@ -198,6 +202,44 @@ class TestBuild:
         sub = Subspace(n=2, basis=[c * b[0] + s * b[1], c * b[1] - s * b[0]])
         assert sub.dim == 2
         assert Subspace(n=2, basis=np.zeros((0, 2, 2))).dim == 0
+
+    def test_subspace_cannot_change_after_its_checks(self):
+        # A new or rewritten basis would skip the orthonormality check, and
+        # the kept bracket-check report would describe another subspace.
+        e = diag_subspace(3)
+        assert lts_check(e).is_lts
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.basis = zero_diag_block_subspace([1, 1, 1]).basis
+        with pytest.raises(ValueError):
+            e.basis[0, 0, 0] = 5.0
+        assert np.array_equal(e.basis, diag_subspace(3).basis)
+
+    def test_basis_is_a_copy(self):
+        given = np.array(diag_subspace(2).basis)
+        sub = Subspace(n=2, basis=given)
+        given[0, 0, 0] = 5.0
+        assert given.flags.writeable
+        assert sub.basis[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("k", [-1000, -500, -41, 40, 500, 1000])
+    def test_basis_is_free_of_the_scale(self, k):
+        # The drop floor is relative to the largest generator, and there is
+        # no absolute one: 2**k times the generators give the same basis.
+        rng = np.random.default_rng(k + 1000)
+        for _ in range(10):
+            n = int(rng.integers(2, 6))
+            gens = [random_sym(rng, n) for _ in range(int(rng.integers(1, 4)))]
+            gens.append(3.0 * gens[0])
+            want = build_subspace(gens).basis
+            got = build_subspace([np.ldexp(g, k) for g in gens]).basis
+            assert np.array_equal(got, want)
+
+    def test_generator_whose_norm_overflows_is_a_domain_error(self):
+        # Its norm, 2.9e308, is beyond the floats; it once left no basis
+        # element and a raw ValueError from np.stack.
+        big = [[1.7e308, 1.7e308], [1.7e308, 0.0]]
+        with pytest.raises(DomainError, match="^build_subspace overflows$"):
+            build_subspace([big])
 
 
 class TestProjection:

@@ -9,8 +9,11 @@ non-finite and a non-square input with the same message as a stand-alone
 eigendecompositions, counted as runs of the one solver behind ``sym_eigen``
 (a matrix decomposed a moment before is answered by its cache).  Operands of
 different sizes are a DomainError too, and result objects that hold arrays
-compare by identity.
+compare by identity.  A product of valid operands that overflows is a
+DomainError "<function> overflows", with no RuntimeWarning on the way.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +25,10 @@ from spdgeom import (
     TangentVector,
     ad_function_apply,
     ada_decompose,
+    ada_sum_split,
     al_kashi_slack,
     block_diag_subspace,
+    congruence_action,
     conjugation_flow_field,
     cosh_sinh_split,
     dad_decompose,
@@ -36,6 +41,8 @@ from spdgeom import (
     geodesic,
     geodesic_project,
     geodesic_symmetry,
+    integrate_conjugation_flow,
+    metric,
     mostow_gl,
     mostow_spd,
     riem_exp,
@@ -298,3 +305,54 @@ def test_equality_is_a_bool(name, make):
     assert type(a).__name__ == name
     assert (a == b) is False
     assert (a == a) is True
+
+
+TINY, HUGE = 1e-300 * I2, 1e300 * I2
+ANTI = np.array([[0.0, 300.0], [300.0, 0.0]])
+
+# Valid operands whose product leaves the floats, by the function whose name
+# the DomainError carries.
+OVERFLOWS = {
+    "geodesic": lambda: geodesic((1e200 * I2, 1e200 * np.diag([1.0, 2.0])), 1000),
+    "GeodesicSegment": lambda: GeodesicSegment(TINY, HUGE),
+    "distance": lambda: distance(TINY, HUGE),
+    "riemannian_angle": lambda: riemannian_angle(TINY, HUGE, I2),
+    "riem_log": lambda: riem_log(TINY, 1e300 * A),
+    "riem_exp": lambda: riem_exp(
+        1e200 * I2, TangentVector(1e200 * I2, 1e200 * np.diag([500.0, 0.0]))
+    ),
+    "geodesic_symmetry": lambda: geodesic_symmetry(1e200 * I2, 1e-100 * I2),
+    "membership_residual": lambda: translate_convex_submanifold(
+        TINY, diag_subspace(2)
+    ).membership_residual(HUGE),
+    "point": lambda: translate_convex_submanifold(HUGE, diag_subspace(2)).point(
+        np.diag([300.0, 0.0])
+    ),
+    "cosh_sinh_split": lambda: cosh_sinh_split(400.0 * I2, ANTI, (1, 1)),
+    "ada_sum_split": lambda: ada_sum_split(ANTI, 300.0 * I2, (1, 1)),
+    "congruence_action": lambda: congruence_action(1e100 * I2, 1e200 * I2),
+    "mostow_gl": lambda: mostow_gl(
+        1e200 * np.array([[1.0, 2.0], [0.5, 3.0]]), diag_subspace(2)
+    ),
+    "dexp_apply": lambda: dexp_apply(1500.0 * I2, np.ones((2, 2))),
+    "dexp_inv_apply": lambda: dexp_inv_apply(np.diag([-1500.0, 0.0]), np.ones((2, 2))),
+    "metric": lambda: metric(TINY, HUGE, HUGE),
+    # x0 + (h/2) k1 = 1.5e308 + 5e307 in the first stage.
+    "integrate_conjugation_flow": lambda: integrate_conjugation_flow(
+        np.diag([1.5e308, 0.0]), np.diag([5e307, 0.0]), 1.0, steps=1
+    ),
+    # Q^T Y Q, Q the 45-degree eigenbasis of X, sums Y's entries.
+    "ad_function_apply": lambda: ad_function_apply(
+        AdFunctionOperator(OFF, np.arctan), np.full((2, 2), 1.7e308)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWS)
+def test_a_product_that_overflows_names_its_function(name):
+    # Each of these once reported "matrix contains non-finite entries", an
+    # operand's message, after numpy's RuntimeWarnings (metric returned nan).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{name} overflows$"):
+            OVERFLOWS[name]()
