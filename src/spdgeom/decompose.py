@@ -20,10 +20,14 @@ as the correctness certificate.
 
 The projection yields the two-sided factorization x = e f e with
 e = pi(x)^{1/2} in exp(E) and f in exp(E^perp), and the global factorization
-g = k f e of any invertible matrix with k orthogonal, obtained by factoring
-g^T g = e f^2 e.  Both are read off the final iterate: e = exp(w/2), f = z =
-y^{-1/2} x y^{-1/2}, log e = w/2 and log f = log z come from the iterate's
-eigendecompositions of w and z, with none after the projection's.
+g = k f e of any invertible matrix with k orthogonal, the projection of
+g^T g = e f^2 e worked from g alone: g^T g and z are never formed, and z's
+spectrum comes from the SVD of m = g y^{-1/2} = u s v^T, z = m^T m, at the
+condition of g rather than its square (Golub and Van Loan, Matrix
+Computations, 2013, sec. 5.3).  Both are read off the final iterate:
+e = exp(w/2), f = z (z^{1/2} = v s v^T and k = u v^T for g), log e = w/2 and
+log f = log z come from the iterate's decompositions of w and z, with none
+after the projection's.
 """
 
 import math
@@ -49,7 +53,8 @@ from .matfun import (
     _one_size,
     _rebuild,
     _spd_eigen,
-    _sym,
+    _svd,
+    EigenDecomposition,
 )
 from .subspace import Subspace, lts_check, project_trace
 
@@ -91,12 +96,13 @@ class GlFactors:
     residual: float
 
 
-def _require_pair(x, e_sub):
-    """x symmetrized, of E's ambient dimension; positive definiteness is left
-    to the decomposition of x that the caller needs anyway."""
+def _require_pair(x, e_sub, factor=False):
+    """x symmetrized (a factor as it is), of E's ambient dimension; positive
+    definiteness is left to the decomposition of x that the caller needs
+    anyway."""
     if not isinstance(e_sub, Subspace):
         raise DomainError("e_sub must be a Subspace")
-    return _one_size(as_sym(x), n=e_sub.n)
+    return _one_size(_as_square(x) if factor else as_sym(x), n=e_sub.n)
 
 
 def _require_lts(e_sub, unchecked):
@@ -115,22 +121,37 @@ def _require_lts(e_sub, unchecked):
 class _Iterate:
     """y = exp(w), w in E, and z = y^{-1/2} x y^{-1/2}, both with their
     eigendecompositions, and the gradient and Hessian data of d^2(., x)/2.
-    At the projection pi = y, x = e f e with e = exp(w/2) and f = z."""
+    At the projection pi = y, x = e f e with e = exp(w/2) and f = z.
 
-    def __init__(self, x, e_sub, w):
-        self.w = w
+    With ``factor``, x is a factor g of the projected g^T g, and z = m^T m for
+    m = g y^{-1/2} is never formed: the SVD m = u s v^T gives its eigenbasis
+    v and log z = 2 log s, and the floor applies to s, the spectrum of z^{1/2}.
+    """
+
+    def __init__(self, x, e_sub, w, factor=False):
+        self.w, self.factor = w, factor
         self.basis = e_sub.basis
         self.eig_w = sym_eigen(w)
-        what = "y^-1/2 x y^-1/2 at the projection iterate"
-        self.z = _congruence(self.exp_w(-0.5), x, what)
-        self.eig_z = eig_z = sym_eigen(self.z)
-        lam = eig_z.lam
+        # self.eig is z's eigendecomposition, or z^{1/2}'s for a factor.
+        if not factor:
+            what = "y^-1/2 x y^-1/2 at the projection iterate"
+            self.z = _congruence(self.exp_w(-0.5), x, what)
+            self.eig = sym_eigen(self.z)
+            floor = f"{what} y"
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m = x @ self.exp_w(-0.5)
+            self.u, s, v = _svd(m, "g y^-1/2 at the projection iterate")
+            self.eig = EigenDecomposition(q=v, lam=s)
+            floor = "z^1/2 = (m^T m)^1/2, m = g y^-1/2, at the projection iterate y"
+        lam = self.eig.lam
         cond = lam[0] / lam[-1] if lam[-1] > 0 else math.inf
-        _check_spd_spectrum(lam, f"{what} y (condition {cond:.1e})")
-        # u = log z = Q diag(mu) Q^T; |mu| is the distance d(y, x).
-        self.mu = np.log(lam)
+        _check_spd_spectrum(lam, f"{floor} (condition {cond:.1e})")
+        # u = log z = Q diag(mu) Q^T (2 log s for a factor); |mu| is d(y, x).
+        self.mu = 2.0 * np.log(lam) if factor else np.log(lam)
+        q = self.eig.q
         # Row i: Q^T B_i Q as n^2 entries (dim E = 0 too); its diagonal gives <B_i, u>.
-        self.basis_q = (eig_z.q.T @ e_sub.basis @ eig_z.q).reshape(e_sub.dim, x.size)
+        self.basis_q = (q.T @ e_sub.basis @ q).reshape(e_sub.dim, q.size)
         self.grad = self.basis_q[:, :: x.shape[0] + 1] @ self.mu
         self.residual = frobenius(self.grad)
 
@@ -140,7 +161,7 @@ class _Iterate:
 
     def logs(self, t=1.0):
         """(log e, log f^t) = (w/2, t log z) of x = e f e at the projection."""
-        return self.w / 2.0, _rebuild(self.eig_z, t * self.mu)
+        return self.w / 2.0, _rebuild(self.eig, t * self.mu)
 
     def hessian(self):
         """H_ij = <B_i, phi(ad u) B_j>, phi(t) = (t/2) coth(t/2)."""
@@ -168,7 +189,7 @@ def _advance(x, e_sub, cur):
         # and w stays a combination of E's basis.
         delta = np.linalg.solve(jacobian, v)
         w = cur.w + np.tensordot(delta, e_sub.basis, axes=1)
-        return _Iterate(x, e_sub, w)
+        return _Iterate(x, e_sub, w, cur.factor)
 
     try:
         trial = move(np.linalg.solve(cur.hessian(), cur.grad))
@@ -184,18 +205,39 @@ def _advance(x, e_sub, cur):
     return move((1.0 / bound) * cur.grad), False
 
 
-def _project(x, e_sub, *, tol=_TOL, max_iter=_MAX_ITER, unchecked=False, initial=None):
-    """``geodesic_project``'s final iterate and iteration count."""
-    x = _require_pair(x, e_sub)
+def _log_spectrum(x, factor):
+    """x's eigendecomposition, checked positive definite, and the logarithms
+    of its eigenvalues.  For a factor g they are g^T g's, from the SVD
+    g = u s v^T: q = v, lam = s^2 under the floor (sigma_min > 1e-6 sigma_max)
+    and log lam = 2 log s."""
+    if not factor:
+        eig = _spd_eigen(x)
+        return eig, np.log(eig.lam)
+    _, s, v = _svd(x, "mostow_gl")
+    with np.errstate(over="ignore", under="ignore"):
+        squares = _finite(s * s, "mostow_gl")
+    _check_spd_spectrum(
+        squares, "g^T g, whose eigenvalues are the squared singular values of g,"
+    )
+    return EigenDecomposition(q=v, lam=squares), 2.0 * np.log(s)
+
+
+def _project(
+    x, e_sub, factor=False, /, *, tol=_TOL, max_iter=_MAX_ITER, unchecked=False,
+    initial=None,
+):
+    """``geodesic_project``'s final iterate and iteration count; with
+    ``factor``, those of the projection of x^T x, worked from x alone."""
+    x = _require_pair(x, e_sub, factor)
     if not (tol > 0 and isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise DomainError("tol must be positive and max_iter an integer >= 1")
     if initial is not None:
         initial = _one_size(x, _as_square(initial))[1]
-    eig_x = _spd_eigen(x)
-    start = _rebuild(eig_x, np.log(eig_x.lam)) if initial is None else spd_log(initial)
+    eig_x, log_lam = _log_spectrum(x, factor)
+    start = _rebuild(eig_x, log_lam) if initial is None else spd_log(initial)
     _require_lts(e_sub, unchecked)
 
-    cur = _Iterate(x, e_sub, project_trace(e_sub, start))
+    cur = _Iterate(x, e_sub, project_trace(e_sub, start), factor)
     for iteration in range(max_iter):
         if cur.residual <= tol:
             return cur, iteration
@@ -262,19 +304,11 @@ def mostow_spd(x, e_sub, **opts):
 
 def _mostow_gl(g, e_sub, opts):
     """``mostow_gl`` and the final iterate of the projection of g^T g."""
-    g = _as_square(g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = _sym(_finite(g.T @ g, "mostow_gl"))
-    eig = sym_eigen(s)
-    _check_spd_spectrum(
-        eig.lam, "g^T g, whose eigenvalues are the squared singular values of g,"
-    )
-    cur, iterations = _project(s, e_sub, **opts)
-    # g^T g = e z e, so f = z^{1/2} and k = g e^{-1} z^{-1/2}.
-    root = np.sqrt(cur.eig_z.lam)
-    k = g @ cur.exp_w(-0.5) @ _rebuild(cur.eig_z, 1.0 / root)
-    f, e = _rebuild(cur.eig_z, root), cur.exp_w(0.5)
-    return GlFactors(k, f, e, iterations, cur.residual), cur
+    cur, iterations = _project(g, e_sub, True, **opts)
+    # g e^{-1} = u s v^T = k f, the polar decomposition: f = z^{1/2} = v s v^T
+    # and k = u v^T.
+    k, f = cur.u @ cur.eig.q.T, _rebuild(cur.eig, cur.eig.lam)
+    return GlFactors(k, f, cur.exp_w(0.5), iterations, cur.residual), cur
 
 
 def mostow_gl(g, e_sub, **opts):
@@ -282,12 +316,14 @@ def mostow_gl(g, e_sub, **opts):
 
     Follows from the two-sided factorization of g^T g = e f^2 e: the square
     root of the middle factor stays in exp(E^perp) because that subspace is
-    closed under halving of logarithms.  The eigendecomposition of g^T g
-    that checks it is reused through ``sym_eigen``'s cache for the
-    projection's start, and f^{+-1/2} come from the final iterate's z.
+    closed under halving of logarithms.  g^T g is never formed: its
+    logarithm, the projection's start, comes from the SVD of g, each
+    iterate's z = m^T m from the SVD of m = g y^{-1/2}, and k = u v^T and
+    f = v s v^T from the final iterate's.
 
-    g^T g must pass the positive-definiteness floor of every SPD input, on
-    the squares of g's singular values: sigma_min > 1e-6 * sigma_max.
+    g must pass the positive-definiteness floor of every SPD input on the
+    squares of its singular values, sigma_min > 1e-6 * sigma_max, and each
+    iterate's m the floor on its own, sigma_min > 1e-12 * sigma_max.
     """
     return _mostow_gl(g, e_sub, opts)[0]
 

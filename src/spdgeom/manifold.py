@@ -32,6 +32,7 @@ from .matfun import (
     _finite,
     _one_size,
     _spd_eigen,
+    _svd,
     _sym_checked,
 )
 
@@ -125,7 +126,7 @@ def congruence_action(g, x):
     """Isometric action g x g^T of an invertible matrix g."""
     g = _as_square(g)
     # Unlike |det g|, free of the scale and of the dimension.
-    sv = np.linalg.svd(g, compute_uv=False)
+    _, sv, _ = _svd(g, "congruence_action")
     if sv[-1] <= 1e-12 * sv[0]:
         raise DomainError("congruence factor is numerically singular")
     g, x = _one_size(g, require_spd(x))

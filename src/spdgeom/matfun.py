@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition and spectral matrix functions.
+"""Symmetric eigendecomposition, SVD and spectral matrix functions.
 
 All heavy lifting on symmetric matrices goes through a single cyclic Jacobi
 eigensolver, which is deterministic and accurate to machine precision for
@@ -8,6 +8,12 @@ The solver's results are kept for the last 4 distinct inputs, keyed by the
 exact bytes of the symmetrized matrix, so a base point that a Log, Exp or
 geodesic takes again is decomposed once: at most 4 * (2n^2 + n) read-only
 floats, about 260 KB at n = 64.
+
+The second decomposition is the SVD, ``_svd``, for a general matrix g where
+the spectrum of g^T g is wanted without forming g^T g, which would square
+g's condition: ``mostow_gl`` (and ``sl2_decompose`` through it) takes its
+start and each iterate's spectrum from it, and ``congruence_action`` its
+singularity check.  It is LAPACK's, not cached, with read-only factors.
 
 Operands are checked one at a time for a finite square array (``_as_square``,
 ``as_sym``, ``require_spd``), then together, with the size of any subspace or
@@ -53,8 +59,8 @@ _JACOBI_TOL = 1e-14
 _MAX_SWEEPS = 50
 
 # Distinct inputs sym_eigen keeps: geodesic((x, y), t) takes x and the
-# pull-back; riem_log's x is riem_exp's again, dexp_apply's X dexp_inv_apply's,
-# and the check of mostow_gl's g^T g is its projection's start.
+# pull-back; riem_log's x is riem_exp's again, and dexp_apply's X
+# dexp_inv_apply's.
 _CACHE_SIZE = 4
 
 
@@ -277,6 +283,20 @@ def _solve(n, key):
     q, lam = np.ascontiguousarray(q[:, order]), lam[order]
     q.flags.writeable = lam.flags.writeable = False
     return q, lam
+
+
+def _svd(a, what):
+    """Read-only (u, s, v) of a = u diag(s) v^T, s descending, for an a formed
+    from checked operands: DomainError "{what} overflows" unless a is finite,
+    ConvergenceError where LAPACK's divide and conquer does not converge."""
+    _finite(a, what)
+    try:
+        u, s, vt = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD of {what} did not converge: {exc}") from exc
+    v = vt.T
+    u.flags.writeable = s.flags.writeable = v.flags.writeable = False
+    return u, s, v
 
 
 def _rebuild(eig, values):

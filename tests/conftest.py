@@ -52,15 +52,26 @@ def _fresh_eigen_cache():
 
 
 @pytest.fixture
-def eig_count():
-    """Count eigensolver runs: the sym_eigen calls its cache does not answer.
-    ``count.runs()`` reads the runs since the last count, also after a raise."""
+def eig_count(monkeypatch):
+    """Count decompositions: the sym_eigen calls its cache does not answer,
+    and the SVDs, which are never cached.  ``count.runs()`` reads the runs
+    since the last count, also after a raise."""
     from spdgeom.matfun import _solve
+
+    svd, svds = np.linalg.svd, []
+
+    def counted_svd(*args, **kwargs):
+        svds.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
 
     def count(fn, *args, **kwargs):
         _solve.cache_clear()
+        svds.clear()
         result = fn(*args, **kwargs)
         return count.runs(), result
 
-    count.runs = lambda: _solve.cache_info().misses
+    count.svds = lambda: len(svds)
+    count.runs = lambda: _solve.cache_info().misses + count.svds()
     return count

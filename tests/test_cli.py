@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import reject_json_constant
+from conftest import random_orthogonal, reject_json_constant
 from spdgeom import cli
 from spdgeom.cli import main, read_matrix
 
@@ -197,6 +197,16 @@ class TestExitCodes:
         code, rep = run_cli(capsys, "logm", "[[1,2],[2,1]]")
         assert code == 3
         assert rep["error"]["type"] == "domain"
+
+    def test_gl_factors_a_g_of_condition_1e5(self, capsys):
+        # Through g^T g, of condition 1e10, this g once ended in exit 3.
+        rng = np.random.default_rng(2105)
+        sigma = np.logspace(0.0, 5.0, 4)
+        g = (random_orthogonal(rng, 4) * sigma) @ random_orthogonal(rng, 4).T
+        code, rep = run_cli(capsys, "gl", json.dumps(g.tolist()), "block:2,2")
+        assert code == 0
+        assert rep["outputs"]["reconstruction_residual"] <= 1e-12
+        assert rep["diagnostics"]["residual"] <= 1e-11
 
     def test_domain_error_on_singular_gl(self, capsys):
         code, rep = run_cli(capsys, "gl", "[[1,1],[1,1]]", "diag")

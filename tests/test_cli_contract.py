@@ -10,7 +10,8 @@ code.
 
 The same holds for argv: a drawn command line (positionals and ``--flags``
 from the table, some missing, some junk, some unknown) prints exactly one
-strict-JSON report and exits with a code in {0, 2, 3, 4}.
+strict-JSON report and exits with a code in {0, 2, 3, 4}, and so do the
+module entry points ``python -m spdgeom`` and ``python -m spdgeom.cli``.
 
 Matrices and lts dimensions stay at n <= 4 to keep the examples fast; the
 large case, `spd lts diag --n 64`, is a test of its own in test_cli.py.
@@ -18,7 +19,10 @@ large case, `spd lts diag --n 64`, is a test of its own in test_cli.py.
 
 import json
 import math
+import subprocess
+import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -165,3 +169,23 @@ def test_argv_report_contract(argv, capsys):
     assert isinstance(report, dict)
     assert code in CONTRACT_CODES
     assert report["exit_code"] == code
+
+
+@pytest.mark.parametrize("module", ["spdgeom", "spdgeom.cli"])
+@pytest.mark.parametrize(
+    "b, code", [("[[2,1],[1,2]]", 0), ("[[1,0],[0", 2)], ids=["valid", "malformed"]
+)
+def test_module_entry_points_run_the_command(module, b, code):
+    # Each once imported the package, ran nothing and exited 0 with no output.
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "dist", "[[1,0],[0,1]]", b],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    report = json.loads(proc.stdout, parse_constant=reject_json_constant)
+    assert isinstance(report, dict)
+    assert report["command"] == "dist"
+    assert report["exit_code"] == code
+    if code == 0:
+        assert abs(report["outputs"]["distance"] - math.log(3.0)) <= 1e-12

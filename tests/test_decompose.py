@@ -524,6 +524,37 @@ class TestMostowGl:
             assert frobenius(project_trace(e_sub, spd_log(out.f))) <= 1e-9
             assert frobenius(project_trace(comp, spd_log(out.e))) <= 1e-9
 
+    @pytest.mark.parametrize("kind", ["block", "diag"])
+    @pytest.mark.parametrize("cond", [1e4, 1e5, 9e5])
+    def test_factors_up_to_the_documented_condition(self, cond, kind):
+        # g^T g is never formed, so its condition cond^2 does not enter: every
+        # draw factors to rounding inside the domain sigma_min > 1e-6 sigma_max.
+        # Through g^T g, 6 of 20 (block) and 11 of 20 (diag) draws failed at
+        # 1e4 and all draws at 1e5.
+        e_sub = block_diag_subspace([2, 2]) if kind == "block" else diag_subspace(4)
+        rng = np.random.default_rng([2101, int(cond), len(kind)])
+        sigma = np.logspace(0.0, math.log10(cond), 4)
+        for _ in range(20):
+            g = (random_orthogonal(rng, 4) * sigma) @ random_orthogonal(rng, 4).T
+            out = mostow_gl(g, e_sub)
+            assert frobenius(out.k @ out.f @ out.e - g) <= 1e-12 * frobenius(g)
+            assert frobenius(out.k.T @ out.k - np.eye(4)) <= 1e-12
+            assert out.residual <= 1e-11
+
+    def test_iterate_floor_is_on_singular_values(self):
+        # An iterate y = exp(w) with m = g y^-1/2 of condition ~1e30 is past the
+        # floor s_min > 1e-12 s_max on z^{1/2}'s spectrum; z = m^T m, of
+        # condition ~1e60, is never formed.  (For diagonal E no start gets
+        # there: inside the floors, g and y^-1/2 have condition at most 1e6.)
+        g = np.array([[1.0, 0.0], [0.0, 2.0]])
+        w = np.diag([69.0, -69.0])
+        message = (
+            r"^z\^1/2 = \(m\^T m\)\^1/2, m = g y\^-1/2, at the projection "
+            r"iterate y \(condition \d\.\de\+30\) is not positive definite"
+        )
+        with pytest.raises(DomainError, match=message):
+            _Iterate(g, diag_subspace(2), w, True)
+
     def test_rejects_singular(self):
         with pytest.raises(DomainError):
             mostow_gl(np.array([[1.0, 1.0], [1.0, 1.0]]), diag_subspace(2))

@@ -1,7 +1,8 @@
 """Source layout: no line of the package is longer than 88 columns, every
-eigendecomposition goes through the one solver in ``matfun``, every symmetric
-part and every congruence a @ m @ a through its one helper there, and the
-operand checks see operands only."""
+eigendecomposition goes through the one solver in ``matfun`` and every SVD
+through its one helper there, every symmetric part and every congruence
+a @ m @ a through its one helper there, and the operand checks see operands
+only."""
 
 import ast
 import re
@@ -22,7 +23,8 @@ def test_no_source_line_is_longer_than_88_columns():
 
 
 def _eigen_routines(tree):
-    """Lines that import scipy or reach an ``eig*`` routine of numpy.linalg."""
+    """Lines that import scipy or reach an ``eig*`` or ``svd`` routine of
+    numpy.linalg."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -34,13 +36,15 @@ def _eigen_routines(tree):
         else:
             continue
         for name in names:
-            if name.split(".")[0] == "scipy" or "linalg.eig" in name:
+            routine = "linalg.eig" in name or "linalg.svd" in name
+            if name.split(".")[0] == "scipy" or routine:
                 yield node.lineno, name
 
 
 def test_only_matfun_calls_an_eigenvalue_routine():
-    # sym_eigen's cache sees every decomposition only if no other module
-    # decomposes a matrix on its own.
+    # sym_eigen's cache sees every eigendecomposition, and matfun._svd checks
+    # every SVD's input, only if no other module decomposes a matrix on its
+    # own.
     found = [
         f"{path.name}:{line}: {name}"
         for path in sorted(SRC.rglob("*.py"))

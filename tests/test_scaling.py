@@ -12,16 +12,23 @@ The closest point of exp(E) and the factorization x = e f e commute with the
 scaling when I lies in exp(E), as it does for the diagonal and block-diagonal
 subspaces: pi(s x) = s pi(x), e(s x) = sqrt(s) e(x) and f(s x) = f(x).  They
 take log(s x) = log x + log(s) I, so they agree to 1e-12, not to the bit.
+
+The other isometries, x -> q x q^T for orthogonal q, are pinned to 1e-12
+where they map the structure to itself: the curvature at the identity for
+every q, and the projection onto exp(E) for antiblock E, where s exp(E) is
+not exp(E), under block-orthogonal q, which map E to itself.
 """
 
 import numpy as np
 import pytest
 
-from conftest import random_spd, random_sym
+from conftest import random_orthogonal, random_spd, random_sym
 from spdgeom import (
     GeodesicSegment,
     TangentVector,
+    block_antidiag_subspace,
     block_diag_subspace,
+    curvature_tensor_id,
     diag_subspace,
     distance,
     frobenius,
@@ -125,3 +132,38 @@ def test_projection_commutes_with_scaling(k, kind, which):
         ):
             want = s**p * out
             assert frobenius(scaled - want) <= 1e-12 * frobenius(want)
+
+
+def _rel(a, b):
+    return frobenius(np.subtract(a, b)) / frobenius(b)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_curvature_commutes_with_orthogonal_congruence(seed):
+    # K(q X q^T, q Y q^T) = K(X, Y) and R(qXq^T, qYq^T) qZq^T = q R(X, Y)Z q^T.
+    rng = np.random.default_rng([2102, seed])
+    n = int(rng.integers(2, 7))
+    q = random_orthogonal(rng, n)
+    x, y, z = (random_sym(rng, n) for _ in range(3))
+    moved = [q @ a @ q.T for a in (x, y, z)]
+    k = sectional_curvature_id(x, y)
+    assert abs(sectional_curvature_id(*moved[:2]) - k) <= 1e-12 * abs(k)
+    r = q @ curvature_tensor_id(x, y, z) @ q.T
+    assert _rel(curvature_tensor_id(*moved), r) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("which", ["geodesic_project", "mostow_spd"])
+def test_antiblock_projection_commutes_with_block_orthogonal_congruence(seed, which):
+    # pi(g x g^T) = g pi(x) g^T, and e and f move with it, for g = diag(q1, q2).
+    rng = np.random.default_rng([2103, seed, len(which)])
+    n = int(rng.integers(2, 7))
+    p = int(rng.integers(1, n))
+    g = np.zeros((n, n))
+    g[:p, :p], g[p:, p:] = random_orthogonal(rng, p), random_orthogonal(rng, n - p)
+    e_sub = block_antidiag_subspace(p, n - p)
+    x = random_spd(rng, n, cond=100.0)
+    for moved, out in zip(
+        _factors(g @ x @ g.T, e_sub, which), _factors(x, e_sub, which)
+    ):
+        assert _rel(moved, g @ out @ g.T) <= 1e-12

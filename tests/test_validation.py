@@ -220,16 +220,22 @@ A12 = np.array([[0.0, 0.5, -0.3], [0.5, 0.0, 0.0], [-0.3, 0.0, 0.0]])
         pytest.param(diag_projection_compare, (X,), 7, id="diag_projection_compare"),
         # cosh and sinh of A from one decomposition, then exp(D).
         pytest.param(cosh_sinh_split, (D12, A12, (1, 2)), 2, id="cosh_sinh_split"),
-        # Each its projection alone, 3 + 2 * iterations (2, 2 and 3 here, of
-        # X onto the blocks (1, 2) or off them, and of g^T g): the factors'
-        # logarithms are w/2 and log z of the final iterate.
+        # Each its projection alone, 3 + 2 * iterations (2 each here, of X
+        # onto the blocks (1, 2) or off them): the factors' logarithms are w/2
+        # and log z of the final iterate.
         pytest.param(dad_decompose, (X, (1, 2)), 7, id="dad_decompose"),
         pytest.param(ada_decompose, (X, (1, 2)), 7, id="ada_decompose"),
-        pytest.param(sl2_decompose, (SL2,), 9, id="sl2_decompose"),
+        # (runs, of which SVDs): g^T g is never formed.  One SVD of g gives the
+        # start log(g^T g), then each of the 4 iterates takes one
+        # eigendecomposition of w and one SVD of g y^-1/2.
+        pytest.param(sl2_decompose, (SL2,), (9, 5), id="sl2_decompose"),
     ],
 )
 def test_eigendecompositions_per_op(eig_count, fn, args, expected):
-    assert eig_count(fn, *args)[0] == expected
+    # Only the factorizations of a general g run an SVD.
+    runs, svds = expected if isinstance(expected, tuple) else (expected, 0)
+    assert eig_count(fn, *args)[0] == runs
+    assert eig_count.svds() == svds
 
 
 def test_riem_exp_takes_two(eig_count):
@@ -267,11 +273,15 @@ def test_mostow_spd_adds_nothing_after_the_projection(eig_count):
 
 def test_mostow_gl_decomposes_the_middle_factor_once(eig_count):
     g = np.array([[1.0, 2.0, 0.0], [0.5, 1.0, 1.0], [0.0, -1.0, 2.0]])
-    sub = diag_subspace(3)
-    projection, _ = eig_count(geodesic_project, g.T @ g, sub)
-    # The singularity check of g^T g gives the start log(g^T g) too, and
-    # f^{+-1/2} come from the final iterate: the projection's count exactly.
-    assert eig_count(mostow_gl, g, sub)[0] == projection
+    runs, out = eig_count(mostow_gl, g, diag_subspace(3))
+    # One SVD of g checks it and gives the start log(g^T g); each evaluated
+    # iterate, the start's included, takes one eigendecomposition of w and one
+    # SVD of g y^-1/2, and k and f come from the final one's.  No
+    # eigendecomposition is left for g^T g or z: runs - SVDs counts the w's.
+    iterates = out.iterations + 1
+    assert out.iterations == 4
+    assert eig_count.svds() == 1 + iterates
+    assert runs == 1 + 2 * iterates
 
 
 # ---------------------------------------------------------------------------
