@@ -538,7 +538,12 @@ def main(argv=None):
     except ParseError as exc:  # a usage error or an unreadable manifest
         result = _report(command, params, exc)
 
-    print(json.dumps(result, indent=2))
+    try:
+        print(json.dumps(result, indent=2), flush=True)
+    except BrokenPipeError:
+        # The reader left early.  The rest of the report goes to devnull, so
+        # that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     batch = isinstance(result, list)
     reports = result if batch else [result]
     for rep in reports:

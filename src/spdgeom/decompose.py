@@ -259,6 +259,11 @@ def geodesic_project(
     also checks x), then two per step, four with the fallback.  The
     factorizations read their factors off the final iterate and add none.
 
+    The residual is a certificate.  In exact arithmetic d^2(., x)/2 is
+    1-strongly geodesically convex on exp(E): its Hessian is phi(ad u),
+    phi(t) = (t/2) coth(t/2) >= 1.  So an iterate y with residual r has
+    d(y, pi(x)) <= r, above the rounding floor stated under ``tol``.
+
     Parameters
     ----------
     x : array_like

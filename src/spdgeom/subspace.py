@@ -8,7 +8,10 @@ geodesic submanifold:
     [X, [Y, Z]] in E  for all X, Y, Z in E        (full triple condition)
     [X, [X, Y]] in E  for all X, Y in E           (double-bracket form)
 
-The two are equivalent by polarization; ``lts_check`` evaluates both and
+The two are equivalent by polarization.  On basis elements, each polarized
+sum [B_h, [B_i, B_q]] + [B_i, [B_h, B_q]] is a sum of two nested brackets on
+the same index set {h, i, q}.  ``lts_check`` forms each nested bracket once,
+groups them by index set, reads both conditions off the same brackets and
 reports them side by side, in the time and memory its docstring states.
 
 The ready-made subspaces are spanned by the upper entries (i, j), j >= i, of
@@ -37,10 +40,10 @@ _DROP_TOL = 1e-10
 _ORTHO_TOL = 1e-10
 # lts_check's default tolerance on a residual.
 _LTS_TOL = 1e-9
-# lts_check takes the outer basis elements in runs whose nested brackets fill
-# about this many floats (1 MiB), so that a small subspace takes one run and
-# a large one a bounded working set.
-_RUN_FLOATS = 2**17
+# lts_check forms the nested brackets in chunks of whole index sets whose
+# working arrays fill about this many floats (512 KiB), so that a small
+# subspace takes one chunk and a large one a bounded working set.
+_CHUNK_FLOATS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,24 +239,6 @@ def _nested(b, ridx, brackets, x, p, flat, at):
     return t
 
 
-def _runs(meet, first, second, width):
-    """Consecutive ranges [lo, hi) of outer elements whose nested brackets,
-    ``width`` floats each, fill about ``_RUN_FLOATS``, or one element where
-    that overflows; a range with none is left out.  An element counts its
-    triples and, as a bound, the nested brackets of lower elements whose
-    pair holds it."""
-    k = meet.shape[1]
-    below = np.arange(k)
-    count = meet.sum(axis=0)
-    for member in (first, second):
-        lower = (meet & (below < member[:, None])).sum(axis=1)
-        count += np.bincount(member, lower, k).astype(int)
-    run = (np.cumsum(count) - count) * width // _RUN_FLOATS
-    edges = np.flatnonzero(np.diff(run)) + 1
-    runs = zip([0, *edges], [*edges, k])
-    return [(lo, hi) for lo, hi in runs if count[lo:hi].any()]
-
-
 def lts_check(e, tol=_LTS_TOL):
     """Check whether nested brackets of basis elements stay in the subspace.
 
@@ -274,12 +259,16 @@ def lts_check(e, tol=_LTS_TOL):
     is exactly zero.  For a dense basis nothing is skipped, m = n and Z is
     every entry.
 
-    The outer elements B_i are taken in runs of consecutive indices
-    (``_runs``).  A polarized sum [B_h, [B_i, B_q]] + [B_i, [B_h, B_q]],
-    h < i, is completed in the run of i, which forms again the nested
-    brackets of the elements h before it.  A k-dimensional subspace of
-    n x n matrices costs O(k^2 n^2) memory and O(k^3 n^3 + k^4 |Z|) time, the
-    k^4 |Z| part being the projections.
+    Each nested bracket [B_x, C_jl], C_jl = [B_j, B_l] with j < l, is formed
+    once and filed under the index multiset {x, j, l}.  A set {h < i < q}
+    holds N_h = [B_h, C_iq], N_i = [B_i, C_hq] and N_q = [B_q, C_hi], and
+    its three polarized sums, such as [B_h, [B_i, B_q]] + [B_i, [B_h, B_q]],
+    are N_h + N_i, N_q - N_h and -(N_i + N_q).  A multiset {j, j, l} or
+    {j, l, l} holds one double bracket, [B_j, C_jl] or [B_l, C_jl], which
+    the same three sums give up to sign.  Whole sets are taken in chunks
+    whose working arrays fill about ``_CHUNK_FLOATS`` floats.  A
+    k-dimensional subspace of n x n matrices costs O(k^2 n^2) memory and
+    O(k^3 n^3 + k^4 |Z|) time, the k^4 |Z| part being the projections.
     """
     if not tol > 0:
         raise DomainError("tolerance must be positive")
@@ -291,60 +280,52 @@ def lts_check(e, tol=_LTS_TOL):
     k, n = e.dim, e.n
     ridx = _nonzero_rows(b)
     pairs, brackets, c_rows = _nonzero_brackets(b, ridx)
-    at = _reach(b, brackets)
-    first, second = pairs.T
-    flat = b.reshape(k, n * n)[:, at[0]]
-    # meet[p, m]: bracket p and B_m share a nonzero row, without which
-    # [B_m, C_p] is exactly zero.
+    # (x, p) for the nested brackets [B_x, C_p] whose factors share a nonzero
+    # row, in index order; the others are exactly zero.
     meet = c_rows.astype(float) @ b.any(axis=2).T.astype(float) > 0
-
+    x, p = np.nonzero(meet.T)
     max_residual, witness_at, double_max = 0.0, None, 0.0
-    for lo, hi in _runs(meet, first, second, n * n + flat.shape[1]):
-        # The triples [B_x, [B_j, B_k]] of the run's outer elements x, in
-        # index order, then the nested brackets [B_h, C_p] of the elements h
-        # before the run whose pair p holds an element of the run.
-        tx, tp = np.nonzero(meet[:, lo:hi].T)
-        tx += lo
-        held = np.flatnonzero(((lo <= pairs) & (pairs < hi)).any(axis=1))
-        dp, dh = np.nonzero(meet[held, :lo])
-        x, p = np.concatenate([tx, dh]), np.concatenate([tp, held[dp]])
-        off = _nested(b, ridx, brackets, x, p, flat, at)
-        res = np.linalg.norm(off[: len(tx)], axis=1)
-        if len(res) and res.max() > max_residual:
-            t = int(np.argmax(res))
-            max_residual, witness_at = float(res[t]), (tx[t], tp[t], off[t].copy())
-        # off[v] = [B_x, [B_y, B_z]] with (y, z) the pair p is a term of the
-        # polarized sum over {x, y} and z, and -off[v] one of the sum over
-        # {x, z} and y.  The sums whose larger outer element is in the run
-        # have both their terms here.  As [B_y, B_y] = 0, the sums at z = x or
-        # z = y are the double brackets [B_y, [B_y, B_x]] and
-        # [B_x, [B_x, B_y]] up to sign.
-        v = np.tile(np.arange(len(x)), 2)
-        y = np.concatenate([first[p], second[p]])
-        z = np.concatenate([second[p], first[p]])
-        h, i = np.minimum(x[v], y), np.maximum(x[v], y)
-        use = (h != i) & (lo <= i) & (i < hi)
-        minus = (np.arange(len(v)) >= len(x))[use]
-        v, keys = v[use], ((h * k + i) * k + z)[use]
-        keys, once, where = np.unique(keys, return_index=True, return_inverse=True)
-        polar = np.zeros((len(keys), flat.shape[1]))
-        # A sum has at most two terms: add each first occurrence, then the rest.
-        again = np.ones(len(v), dtype=bool)
-        again[once] = False
-        for part in (~again, again):
-            polar[where[part & ~minus]] += off[v[part & ~minus]]
-            polar[where[part & minus]] -= off[v[part & minus]]
-        if len(polar):
-            double_max = max(double_max, float(np.linalg.norm(polar, axis=1).max()))
+    if len(x):
+        at = _reach(b, brackets)
+        flat = b.reshape(k, n * n)[:, at[0]]
+        z = flat.shape[1]
+        # The multiset {x, j, l} as h <= i <= q, and the slot of x in it.
+        first, second = pairs[p].T
+        h, q = np.minimum(x, first), np.maximum(x, second)
+        i = x + first + second - h - q
+        slot = (x > h).astype(int) + (x > i)
+        key = (h * k + i) * k + q
+        order = np.argsort(key, kind="stable")
+        new = np.diff(key[order], prepend=-1) > 0
+        sets, starts = np.cumsum(new) - 1, np.flatnonzero(new)
+        # fill: the floats taken before each set, a row taking its n x n
+        # product and its projection on Z, a set its three slots.  A chunk
+        # ends before each set that passes another multiple of the budget.
+        fill = starts * (n * n + z) + np.arange(len(starts)) * 3 * z
+        edges = starts[1:][np.diff(fill // _CHUNK_FLOATS) > 0]
+        for lo, hi in zip([0, *edges], [*edges, len(x)]):
+            rows = order[lo:hi]
+            off = _nested(b, ridx, brackets, x[rows], p[rows], flat, at)
+            res = np.linalg.norm(off, axis=1)
+            # The witness has the largest residual, and is first in index order.
+            top = res.max()
+            t = rows[res == top].min()
+            if witness_at is None or (top, -t) > (max_residual, -witness_at[0]):
+                max_residual, witness_at = float(top), (t, off[rows == t][0])
+            slots = np.zeros((3, sets[hi - 1] - sets[lo] + 1, z))
+            slots[slot[rows], sets[lo:hi] - sets[lo]] = off
+            n_h, n_i, n_q = slots
+            for polar in (n_h + n_i, n_q - n_h, n_i + n_q):
+                double_max = max(double_max, float(np.linalg.norm(polar, axis=1).max()))
 
     is_lts = max_residual <= tol
     witness = None
     if not is_lts:
-        i, t, off_t = witness_at
+        t, off_t = witness_at
         off_component = np.zeros(n * n)
         off_component[at[0]] = off_t
         witness = LtsWitness(
-            x=b[i].copy(),
+            x=b[x[t]].copy(),
             y=b[first[t]].copy(),
             z=b[second[t]].copy(),
             residual=max_residual,

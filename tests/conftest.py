@@ -1,6 +1,8 @@
 """Shared random-matrix generators and fixtures for the test suite."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,16 @@ def random_invertible(rng, n, cond=100.0):
     half = math.log(cond) / 2.0
     sig = np.exp(rng.uniform(-half, half, n))
     return (u * sig) @ v
+
+
+def child_env():
+    """The environment for a child Python process, with this tree's ``src``
+    first on PYTHONPATH, so that the child imports the spdgeom under test and
+    not another installed copy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def reject_json_constant(token):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_orthogonal, reject_json_constant
+from conftest import child_env, random_orthogonal, reject_json_constant
 from spdgeom import cli
 from spdgeom.cli import main, read_matrix
 
@@ -671,6 +671,7 @@ class TestSubprocessEntry:
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         rep = json.loads(proc.stdout)
@@ -687,6 +688,7 @@ class TestSubprocessEntry:
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 3
         assert "spd:" in proc.stderr
@@ -726,6 +728,7 @@ class TestSubprocessEntry:
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr

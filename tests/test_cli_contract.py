@@ -11,7 +11,9 @@ code.
 The same holds for argv: a drawn command line (positionals and ``--flags``
 from the table, some missing, some junk, some unknown) prints exactly one
 strict-JSON report and exits with a code in {0, 2, 3, 4}, and so do the
-module entry points ``python -m spdgeom`` and ``python -m spdgeom.cli``.
+module entry points ``python -m spdgeom`` and ``python -m spdgeom.cli``.  A
+reader that closes stdout before reading the report gets no traceback, and
+the exit code stays in that set.
 
 Matrices and lts dimensions stay at n <= 4 to keep the examples fast; the
 large case, `spd lts diag --n 64`, is a test of its own in test_cli.py.
@@ -22,11 +24,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import reject_json_constant
+from conftest import child_env, reject_json_constant
 from spdgeom.cli import COMMANDS, main
 
 CONTRACT_CODES = {0, 2, 3, 4}
@@ -181,6 +184,7 @@ def test_module_entry_points_run_the_command(module, b, code):
         [sys.executable, "-m", module, "dist", "[[1,0],[0,1]]", b],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == code
     report = json.loads(proc.stdout, parse_constant=reject_json_constant)
@@ -189,3 +193,22 @@ def test_module_entry_points_run_the_command(module, b, code):
     assert report["exit_code"] == code
     if code == 0:
         assert abs(report["outputs"]["distance"] - math.log(3.0)) <= 1e-12
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # The report of expm on a 64 x 64 matrix is larger than a pipe's 64 KiB
+    # buffer, and stdout's reader is gone before the first write: the write
+    # fails, and the process still exits with the report's code.
+    a = json.dumps(np.eye(64).tolist())
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spdgeom", "expm", a],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() in CONTRACT_CODES
+    assert "Traceback" not in stderr

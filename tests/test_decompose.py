@@ -403,6 +403,50 @@ class TestNewtonProjection:
 CONGRUENCE_KINDS = ["diag", "block", "antiblock"]
 
 
+def _spread(m):
+    lam = np.linalg.eigvalsh(m)
+    return lam[-1] - lam[0]
+
+
+class TestResidualCertificate:
+    """d^2(., x)/2 is 1-strongly geodesically convex on exp(E), its Hessian
+    phi(ad u) being >= 1, so every iterate y lies within its residual of the
+    projection: d(y, pi(x)) <= residual."""
+
+    @pytest.mark.parametrize("kind", CONGRUENCE_KINDS)
+    def test_residual_bounds_the_distance_to_the_projection(self, kind):
+        rng = np.random.default_rng([2200, CONGRUENCE_KINDS.index(kind)])
+        worst = 0.0
+        for n in range(2, 7):
+            for _ in range(6):
+                p = int(rng.integers(1, n))
+                e_sub = {
+                    "diag": lambda: diag_subspace(n),
+                    "block": lambda: block_diag_subspace([p, n - p]),
+                    "antiblock": lambda: block_antidiag_subspace(p, n - p),
+                }[kind]()
+                # x = e f e with e = exp(a), a in E, and f = exp(b), b
+                # orthogonal to E, projects to e^2.  The spreads of a and b
+                # keep kappa(x) <= exp(2 spread(a) + spread(b)) <= 1e4.
+                a = project_trace(e_sub, random_sym(rng, n))
+                b = random_sym(rng, n)
+                b -= project_trace(e_sub, b)
+                c, u = rng.uniform(0.0, math.log(1e4)), rng.uniform()
+                a *= c * u / 2.0 / max(_spread(a), 1e-300)
+                b *= c * (1.0 - u) / max(_spread(b), 1e-300)
+                e = spd_exp(a)
+                x = e @ spd_exp(b) @ e
+                pi = spd_exp(2.0 * a)
+                for _ in range(4):
+                    w = project_trace(e_sub, random_sym(rng, n, scale=2.0))
+                    r = _Iterate(x, e_sub, w).residual
+                    d = distance(spd_exp(w), pi)
+                    assert d <= r * (1.0 + 1e-9) + 1e-12
+                    worst = max(worst, d / r)
+        # The bound is tight: some draw comes within 1% of it.
+        assert worst > 0.99
+
+
 def _preserving_congruence(rng, kind):
     """A subspace E of n x n matrices, 2 <= n <= 6, and a g whose congruence
     maps exp(E) onto itself: diagonal for the diagonals, block-diagonal for

@@ -7,7 +7,6 @@ library.
 
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -15,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,16 +52,12 @@ def tour():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("## Library quick tour", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", RUNNER],
         input=block,
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

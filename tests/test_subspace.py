@@ -28,6 +28,7 @@ from spdgeom import (
     tr_inner,
     zero_diag_block_subspace,
 )
+from spdgeom import subspace
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -434,6 +435,28 @@ class TestLtsCheck:
             tracemalloc.stop()
         assert report.is_lts and report.double_bracket_is_lts
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize(
+        "make, distinct",
+        [
+            (lambda: block_diag_subspace([8, 8, 8]), 10080),
+            (lambda: block_antidiag_subspace(1, 23), 506),
+        ],
+        ids=["block_8_8_8", "antiblock_1_23"],
+    )
+    def test_each_nested_bracket_is_formed_once(self, monkeypatch, make, distinct):
+        # Forming the polarized sums across chunks once formed 19,357 and 692
+        # rows here.
+        formed = []
+        nested = subspace._nested
+
+        def recording(b, ridx, brackets, x, p, *rest):
+            formed.extend(zip(x.tolist(), p.tolist()))
+            return nested(b, ridx, brackets, x, p, *rest)
+
+        monkeypatch.setattr(subspace, "_nested", recording)
+        assert lts_check(make()).is_lts
+        assert len(set(formed)) == len(formed) == distinct
 
     def test_sl2_subspace_is_lts(self):
         assert lts_check(sl2_traceless_diag_subspace()).is_lts
