@@ -28,6 +28,11 @@ Computations, 2013, sec. 5.3).  Both are read off the final iterate:
 e = exp(w/2), f = z (z^{1/2} = v s v^T and k = u v^T for g), log e = w/2 and
 log f = log z come from the iterate's decompositions of w and z, with none
 after the projection's.
+
+The operands are checked once, on entry.  The iterates' w and z are the
+module's own, exactly symmetric arrays: they go to the eigensolver through
+``matfun._eigen`` and the basis products of ``subspace._combination``, with
+no operand check per iterate.
 """
 
 import math
@@ -45,18 +50,19 @@ from .matfun import (
     spd_exp,
     spd_log,
     spd_sqrt_pair,
-    sym_eigen,
+    SPD_TOL,
     _as_square,
     _check_spd_spectrum,
     _congruence,
+    _eigen,
     _finite,
     _one_size,
+    _passes_floor,
     _rebuild,
-    _spd_eigen,
     _svd,
     EigenDecomposition,
 )
-from .subspace import Subspace, lts_check, project_trace
+from .subspace import Subspace, lts_check, project_trace, _combination, _projection
 
 _TOL, _MAX_ITER = 1e-11, 500  # the projection's default tol and max_iter
 
@@ -126,18 +132,21 @@ class _Iterate:
     With ``factor``, x is a factor g of the projected g^T g, and z = m^T m for
     m = g y^{-1/2} is never formed: the SVD m = u s v^T gives its eigenbasis
     v and log z = 2 log s, and the floor applies to s, the spectrum of z^{1/2}.
+
+    x is the caller's, scaled by 4^-scale (a factor by 2^-scale), so the
+    caller's e and pi are 2^scale and 4^scale times this x's (``pi_pow``).
     """
 
-    def __init__(self, x, e_sub, w, factor=False):
-        self.w, self.factor = w, factor
+    def __init__(self, x, e_sub, w, factor=False, scale=0):
+        self.w, self.factor, self.scale = w, factor, scale
         self.basis = e_sub.basis
-        self.eig_w = sym_eigen(w)
+        self.eig_w = _eigen(w)
         # self.eig is z's eigendecomposition, or z^{1/2}'s for a factor.
         if not factor:
             what = "y^-1/2 x y^-1/2 at the projection iterate"
             self.z = _congruence(self.exp_w(-0.5), x, what)
-            self.eig = sym_eigen(self.z)
-            floor = f"{what} y"
+            self.eig = _eigen(self.z)
+            floor = what + " y"
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 m = x @ self.exp_w(-0.5)
@@ -145,8 +154,9 @@ class _Iterate:
             self.eig = EigenDecomposition(q=v, lam=s)
             floor = "z^1/2 = (m^T m)^1/2, m = g y^-1/2, at the projection iterate y"
         lam = self.eig.lam
-        cond = lam[0] / lam[-1] if lam[-1] > 0 else math.inf
-        _check_spd_spectrum(lam, f"{floor} (condition {cond:.1e})")
+        if not _passes_floor(lam):
+            cond = lam[0] / lam[-1] if lam[-1] > 0 else math.inf
+            _check_spd_spectrum(lam, f"{floor} (condition {cond:.1e})")
         # u = log z = Q diag(mu) Q^T (2 log s for a factor); |mu| is d(y, x).
         self.mu = 2.0 * np.log(lam) if factor else np.log(lam)
         q = self.eig.q
@@ -159,9 +169,22 @@ class _Iterate:
         """y^t = exp(t w)."""
         return _rebuild(self.eig_w, np.exp(t * self.eig_w.lam))
 
+    def pi_pow(self, t, what):
+        """pi^t of the caller's x, for t = 1 (pi) or 1/2 (e): 4^(scale t) y^t;
+        DomainError "{what} overflows" where it leaves the floats."""
+        y_t = self.exp_w(t)
+        if not self.scale:
+            return y_t
+        with np.errstate(over="ignore"):
+            return _finite(np.ldexp(y_t, int(2 * t * self.scale)), what)
+
     def logs(self, t=1.0):
-        """(log e, log f^t) = (w/2, t log z) of x = e f e at the projection."""
-        return self.w / 2.0, _rebuild(self.eig, t * self.mu)
+        """(log e, log f^t) = (w/2 + scale log(2) I, t log z) of the caller's
+        x = e f e at the projection."""
+        log_e = self.w / 2.0
+        if self.scale:
+            log_e = log_e + (self.scale * math.log(2.0)) * np.eye(len(log_e))
+        return log_e, _rebuild(self.eig, t * self.mu)
 
     def hessian(self):
         """H_ij = <B_i, phi(ad u) B_j>, phi(t) = (t/2) coth(t/2)."""
@@ -188,8 +211,8 @@ def _advance(x, e_sub, cur):
         # y^{1/2} exp(v) y^{1/2} to first order, which keeps Newton quadratic,
         # and w stays a combination of E's basis.
         delta = np.linalg.solve(jacobian, v)
-        w = cur.w + np.tensordot(delta, e_sub.basis, axes=1)
-        return _Iterate(x, e_sub, w, cur.factor)
+        w = cur.w + _combination(e_sub, delta)
+        return _Iterate(x, e_sub, w, cur.factor, cur.scale)
 
     try:
         trial = move(np.linalg.solve(cur.hessian(), cur.grad))
@@ -205,21 +228,38 @@ def _advance(x, e_sub, cur):
     return move((1.0 / bound) * cur.grad), False
 
 
-def _log_spectrum(x, factor):
-    """x's eigendecomposition, checked positive definite, and the logarithms
-    of its eigenvalues.  For a factor g they are g^T g's, from the SVD
-    g = u s v^T: q = v, lam = s^2 under the floor (sigma_min > 1e-6 sigma_max)
-    and log lam = 2 log s."""
+def _scaled_log(x, e_sub, factor):
+    """(4^-scale x, scale, its logarithm), x checked positive definite on its
+    spectrum; for a factor g, (2^-scale g, scale, log of g^T g so scaled),
+    from the SVD g = u s v^T: log = v diag(2 log s) v^T.
+
+    g passes the floor of g^T g taken on its singular values, whose squares
+    may leave the floats: sigma_min > 1e-6 sigma_max and sigma_min above the
+    smallest normal float.  The integer scale is 0 unless I is in E, decided
+    once from P_E(I) = I.  Then it centres x's spectrum on 1 (takes g's
+    largest entry into [1/2, 1)), and since pi(s x) = s pi(x) and
+    f(s x) = f(x), the projection of the scaled x gives the caller's to the
+    bit (``_Iterate.pi_pow``).
+    """
+    n = e_sub.n
+    split = np.array_equal(_projection(e_sub, np.eye(n)), np.eye(n))
     if not factor:
-        eig = _spd_eigen(x)
-        return eig, np.log(eig.lam)
-    _, s, v = _svd(x, "mostow_gl")
+        eig = _eigen(x)
+        _check_spd_spectrum(eig.lam)
+        scale = int(np.frexp(eig.lam)[1].sum()) // (2 * n) if split else 0
+        log_lam = np.log(np.ldexp(eig.lam, -2 * scale))
+        return np.ldexp(x, -2 * scale), scale, _rebuild(eig, log_lam)
+    scale = math.frexp(float(np.abs(x).max()))[1] if split else 0
+    g = np.ldexp(x, -scale)
+    _, s, v = _svd(g, "mostow_gl")
     with np.errstate(over="ignore", under="ignore"):
-        squares = _finite(s * s, "mostow_gl")
-    _check_spd_spectrum(
-        squares, "g^T g, whose eigenvalues are the squared singular values of g,"
+        sigma = _finite(np.ldexp(s, scale), "mostow_gl")
+    what = (
+        "g^T g, whose eigenvalues are the squared singular values of g, has a "
+        "square root (g^T g)^1/2 that"
     )
-    return EigenDecomposition(q=v, lam=squares), 2.0 * np.log(s)
+    _check_spd_spectrum(sigma, what, math.sqrt(SPD_TOL))
+    return g, scale, _rebuild(EigenDecomposition(q=v, lam=s), 2.0 * np.log(s))
 
 
 def _project(
@@ -233,11 +273,12 @@ def _project(
         raise DomainError("tol must be positive and max_iter an integer >= 1")
     if initial is not None:
         initial = _one_size(x, _as_square(initial))[1]
-    eig_x, log_lam = _log_spectrum(x, factor)
-    start = _rebuild(eig_x, log_lam) if initial is None else spd_log(initial)
+    x, scale, start = _scaled_log(x, e_sub, factor)
+    if initial is not None:
+        start = spd_log(initial) - (scale * math.log(4.0)) * np.eye(e_sub.n)
     _require_lts(e_sub, unchecked)
 
-    cur = _Iterate(x, e_sub, project_trace(e_sub, start), factor)
+    cur = _Iterate(x, e_sub, _projection(e_sub, start), factor, scale)
     for iteration in range(max_iter):
         if cur.residual <= tol:
             return cur, iteration
@@ -263,6 +304,12 @@ def geodesic_project(
     1-strongly geodesically convex on exp(E): its Hessian is phi(ad u),
     phi(t) = (t/2) coth(t/2) >= 1.  So an iterate y with residual r has
     d(y, pi(x)) <= r, above the rounding floor stated under ``tol``.
+
+    When I is in E (the diagonal and block-diagonal subspaces), decided
+    once from P_E(I) = I, the identity part of log x is split off: the
+    iteration projects 4^-m x, with the integer m that centres x's spectrum
+    on 1, and pi is 4^m times its result, exactly.  So pi(4^k x) = 4^k pi(x)
+    bit for bit, and w does not carry log(s) I at far scales s.
 
     Parameters
     ----------
@@ -291,7 +338,8 @@ def geodesic_project(
     cur, iterations = _project(
         x, e_sub, tol=tol, max_iter=max_iter, unchecked=unchecked, initial=initial
     )
-    return ProjectionResult(cur.exp_w(1.0), iterations, cur.residual)
+    pi = cur.pi_pow(1.0, "geodesic_project")
+    return ProjectionResult(pi, iterations, cur.residual)
 
 
 def mostow_spd(x, e_sub, **opts):
@@ -303,7 +351,7 @@ def mostow_spd(x, e_sub, **opts):
     projection's.
     """
     cur, iterations = _project(x, e_sub, **opts)
-    e, pi = cur.exp_w(0.5), cur.exp_w(1.0)
+    e, pi = cur.pi_pow(0.5, "mostow_spd"), cur.pi_pow(1.0, "mostow_spd")
     return MostowFactors(e, cur.z, pi, iterations, cur.residual)
 
 
@@ -313,7 +361,8 @@ def _mostow_gl(g, e_sub, opts):
     # g e^{-1} = u s v^T = k f, the polar decomposition: f = z^{1/2} = v s v^T
     # and k = u v^T.
     k, f = cur.u @ cur.eig.q.T, _rebuild(cur.eig, cur.eig.lam)
-    return GlFactors(k, f, cur.exp_w(0.5), iterations, cur.residual), cur
+    e = cur.pi_pow(0.5, "mostow_gl")
+    return GlFactors(k, f, e, iterations, cur.residual), cur
 
 
 def mostow_gl(g, e_sub, **opts):
@@ -326,9 +375,12 @@ def mostow_gl(g, e_sub, **opts):
     iterate's z = m^T m from the SVD of m = g y^{-1/2}, and k = u v^T and
     f = v s v^T from the final iterate's.
 
-    g must pass the positive-definiteness floor of every SPD input on the
-    squares of its singular values, sigma_min > 1e-6 * sigma_max, and each
-    iterate's m the floor on its own, sigma_min > 1e-12 * sigma_max.
+    g must pass the positive-definiteness floor of g^T g, taken on its
+    singular values, whose squares may leave the floats: sigma_min >
+    1e-6 * sigma_max and sigma_min above the smallest normal float; each
+    iterate's m the floor on its own, sigma_min > 1e-12 * sigma_max.  When I
+    is in E, the iteration factors 2^-m g, m from g's largest entry, and e
+    is 2^m times its e, exactly; k and f do not move with g's scale.
     """
     return _mostow_gl(g, e_sub, opts)[0]
 

@@ -7,7 +7,10 @@ evaluated through the spectrum, so the results are symmetric by construction.
 The solver's results are kept for the last 4 distinct inputs, keyed by the
 exact bytes of the symmetrized matrix, so a base point that a Log, Exp or
 geodesic takes again is decomposed once: at most 4 * (2n^2 + n) read-only
-floats, about 260 KB at n = 64.
+floats, about 260 KB at n = 64.  One private solve, ``_eigen``, looks an
+exactly symmetric, finite array that the library made (a projection
+iterate's w and its pull-back z) up in that cache and checks nothing; the
+public names check their operand, then call it.
 
 The second decomposition is the SVD, ``_svd``, for a general matrix g where
 the spectrum of g^T g is wanted without forming g^T g, which would square
@@ -29,11 +32,11 @@ the eigenvalues (``sym_apply``) or their differences (``ad_function_apply``).
 It calls phi on one Python float at a time and accepts only a real number back.
 
 Positive definiteness is checked on the spectrum a function needs anyway.
-The one checked helper, ``_spd_eigen``, symmetrizes its input, decomposes it
-once and applies the ``SPD_TOL`` floor; ``require_spd`` and the ``spd_*``
-functions are built on it.  Callers that need x^{1/2} or x^{-1/2} take them
-from that decomposition instead of validating x first.  Every check on a
-matrix is relative to it, so the library commutes with x -> 4^k x bit for bit.
+The one checked helper, ``_spd_eigen``, is ``sym_eigen`` with the ``SPD_TOL``
+floor on top; ``require_spd`` and the ``spd_*`` functions are built on it.
+Callers that need x^{1/2} or x^{-1/2} take them from that decomposition
+instead of validating x first.  Every check on a matrix is relative to it,
+so the library commutes with x -> 4^k x bit for bit.
 """
 
 import functools
@@ -198,6 +201,14 @@ def _jacobi_rounds(n):
     return rounds
 
 
+def _eigen(a):
+    """The eigendecomposition of an exactly symmetric, finite n x n array that
+    the library made: the cache lookup behind ``sym_eigen``, on the bytes of
+    ``a``, with no operand check."""
+    q, lam = _solve(a.shape[0], a.tobytes())
+    return EigenDecomposition(q=q, lam=lam)
+
+
 def sym_eigen(a):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -221,9 +232,7 @@ def sym_eigen(a):
         If the off-diagonal norm is not reduced below 1e-14 * ||A||_F within
         50 sweeps; carries the remaining off-diagonal residual.  Not cached.
     """
-    a = as_sym(a)
-    q, lam = _solve(a.shape[0], a.tobytes())
-    return EigenDecomposition(q=q, lam=lam)
+    return _eigen(as_sym(a))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -341,14 +350,20 @@ def sym_apply(a, phi):
     return _rebuild(eig, _map_checked(phi, eig.lam, "scalar function", "eigenvalue"))
 
 
-def _check_spd_spectrum(lam, what="matrix"):
-    lam_max = float(lam[0])
-    lam_min = float(lam[-1])
-    if not lam_min > max(SPD_TOL * lam_max, sys.float_info.min):
+def _passes_floor(lam, tol=SPD_TOL):
+    """Whether a descending spectrum has lam_min > tol * lam_max and lam_min
+    above the smallest normal float."""
+    return lam[-1] > max(tol * lam[0], sys.float_info.min)
+
+
+def _check_spd_spectrum(lam, what="matrix", tol=SPD_TOL):
+    """DomainError "{what} is not positive definite: ..." unless the
+    descending spectrum lam passes the floor."""
+    if not _passes_floor(lam, tol):
         raise DomainError(
-            f"{what} is not positive definite: smallest eigenvalue {lam_min:.6e} "
-            f"below threshold max({SPD_TOL:.0e} * {lam_max:.6e}, "
-            f"{sys.float_info.min:.6e})"
+            f"{what} is not positive definite: smallest eigenvalue "
+            f"{float(lam[-1]):.6e} below threshold max({tol:.0e} * "
+            f"{float(lam[0]):.6e}, {sys.float_info.min:.6e})"
         )
 
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParseError, _convert, _parse_json, _read_text
-from .matfun import as_sym, frobenius, _finite, _one_size
+from .matfun import as_sym, frobenius, _finite, _one_size, _sym
 
 # Generators whose orthogonal residual falls below this fraction of the
 # largest generator norm are treated as dependent and dropped.
@@ -51,9 +51,10 @@ class Subspace:
     """Orthonormal basis of a linear subspace of symmetric n x n matrices,
     checked on construction (DomainError otherwise).
 
-    Frozen, and the basis is a read-only copy of the one given, so the
-    checks and the cached ``lts_check`` report keep holding.  Equality is
-    identity: the generated ``__eq__`` would compare arrays."""
+    Frozen, and the basis is a read-only copy of the symmetric part of the
+    one given, so the checks and the cached ``lts_check`` report keep
+    holding, and every combination of the basis is exactly symmetric.
+    Equality is identity: the generated ``__eq__`` would compare arrays."""
 
     n: int
     basis: np.ndarray  # shape (k, n, n)
@@ -65,8 +66,6 @@ class Subspace:
 
     def __post_init__(self):
         basis = np.array(self.basis, dtype=float)
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
         if basis.ndim != 3 or basis.shape[1:] != (self.n, self.n):
             raise DomainError(
                 f"basis must have shape (k, {self.n}, {self.n}), "
@@ -76,14 +75,19 @@ class Subspace:
             raise DomainError("basis has non-finite entries")
         # Projections and the bracket check take the basis as orthonormal.
         skew = np.abs(basis - basis.transpose(0, 2, 1)).max(initial=0.0)
-        flat = basis.reshape(self.dim, self.n * self.n)
-        off = np.abs(flat @ flat.T - np.eye(self.dim)).max(initial=0.0)
+        k = basis.shape[0]
+        flat = basis.reshape(k, self.n * self.n)
+        off = np.abs(flat @ flat.T - np.eye(k)).max(initial=0.0)
         if skew > _ORTHO_TOL or off > _ORTHO_TOL:
             raise DomainError(
                 "basis must be symmetric and orthonormal (asymmetry "
                 f"{skew:.1e}, Gram matrix off the identity by {off:.1e}); "
                 "build_subspace orthonormalizes generators"
             )
+        if skew:
+            basis = np.stack([_sym(b) for b in basis])
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
 
 def build_subspace(generators):
@@ -125,9 +129,19 @@ def _gram_schmidt(mats, floor):
 
 def project_trace(e, y):
     """Orthogonal projection of a symmetric matrix onto the subspace."""
-    y = _one_size(as_sym(y), n=e.n)
-    coeffs = np.einsum("kab,ab->k", e.basis, y)
-    return np.einsum("k,kab->ab", coeffs, e.basis)
+    return _projection(e, _one_size(as_sym(y), n=e.n))
+
+
+def _combination(e, c):
+    """sum_i c_i B_i over E's basis, exactly symmetric: each entry is the same
+    product with the flattened basis as its transpose's."""
+    return (c @ e.basis.reshape(e.dim, e.n * e.n)).reshape(e.n, e.n)
+
+
+def _projection(e, y):
+    """P_E(y) = sum_i <B_i, y> B_i of an n x n y, unchecked."""
+    coeffs = e.basis.reshape(e.dim, e.n * e.n) @ y.ravel()
+    return _combination(e, coeffs)
 
 
 def orthogonal_complement(e):

@@ -1,8 +1,8 @@
 """Source layout: no line of the package is longer than 88 columns, every
 eigendecomposition goes through the one solver in ``matfun`` and every SVD
 through its one helper there, every symmetric part and every congruence
-a @ m @ a through its one helper there, and the operand checks see operands
-only."""
+a @ m @ a through its one helper there, the operand checks see operands
+only, and the projection's iteration runs none of them."""
 
 import ast
 import re
@@ -119,13 +119,18 @@ def test_only_one_helper_forms_a_congruence():
 OPERAND_CHECKS = {"as_sym", "_as_square", "require_spd"}
 
 
+def _calls(tree):
+    """(call node, name of the function it calls) for every call in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            attr = isinstance(func, ast.Attribute)
+            yield node, func.attr if attr else getattr(func, "id", "")
+
+
 def _checked_expressions(tree):
     """The arithmetic expressions passed to an operand check."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    for node, name in _calls(tree):
         if name in OPERAND_CHECKS:
             for arg in node.args:
                 if isinstance(arg, (ast.BinOp, ast.UnaryOp)):
@@ -151,3 +156,29 @@ def test_the_pull_back_is_the_congruence():
         if isinstance(node, ast.FunctionDef) and node.name == "_pull_back"
     ]
     assert defined == []
+
+
+# The public checks and the helpers that run them on every call.
+CHECKED = OPERAND_CHECKS | {"sym_eigen", "_spd_eigen", "project_trace"}
+
+
+def test_the_projection_iteration_checks_nothing():
+    # w, z and the Newton step are the library's own arrays: each iterate
+    # decomposes them with matfun._eigen and moves w with the basis products
+    # of subspace._combination, so the operands are checked once per call,
+    # not once per iterate.
+    tree = ast.parse((SRC / "decompose.py").read_text(encoding="utf-8"))
+    scopes = [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and node.name in ("_Iterate", "_advance")
+    ]
+    assert len(scopes) == 2
+    found = [
+        f"{scope.name}:{node.lineno}: {name}"
+        for scope in scopes
+        for node, name in _calls(scope)
+        if name in CHECKED
+    ]
+    assert found == []

@@ -9,9 +9,15 @@ eigensolver, the norms and every product scale by powers of two exactly.
 For odd k, sqrt(s) rounds and the results agree to 1e-12.
 
 The closest point of exp(E) and the factorization x = e f e commute with the
-scaling when I lies in exp(E), as it does for the diagonal and block-diagonal
-subspaces: pi(s x) = s pi(x), e(s x) = sqrt(s) e(x) and f(s x) = f(x).  They
-take log(s x) = log x + log(s) I, so they agree to 1e-12, not to the bit.
+scaling when I lies in E, as it does for the diagonal and block-diagonal
+subspaces: pi(s x) = s pi(x), e(s x) = sqrt(s) e(x) and f(s x) = f(x).  The
+projection works on 4^-m x, m an integer taken from x's spectrum, and scales
+pi and e back exactly, so for s = 4^m they too agree to the bit.  The
+factorization g = k f e of an invertible g works on 2^-m g, m from g's
+largest entry, and under g -> s g, k does not move, and e carries s where I
+is in E, f where I is orthogonal to it (antiblock E); bit for bit for s = 4^m
+on diagonal and block E, to 1e-12 otherwise, at every scale: g's floor is on
+its singular values, never on their squares.
 
 The other isometries, x -> q x q^T for orthogonal q, are pinned to 1e-12
 where they map the structure to itself: the curvature at the identity for
@@ -22,7 +28,7 @@ not exp(E), under block-orthogonal q, which map E to itself.
 import numpy as np
 import pytest
 
-from conftest import random_orthogonal, random_spd, random_sym
+from conftest import random_invertible, random_orthogonal, random_spd, random_sym
 from spdgeom import (
     GeodesicSegment,
     TangentVector,
@@ -35,6 +41,7 @@ from spdgeom import (
     geodesic,
     geodesic_project,
     geodesic_symmetry,
+    mostow_gl,
     mostow_spd,
     riem_exp,
     riem_log,
@@ -130,8 +137,48 @@ def test_projection_commutes_with_scaling(k, kind, which):
         for scaled, out, p in zip(
             _factors(s * x, e_sub, which), _factors(x, e_sub, which), powers
         ):
-            want = s**p * out
-            assert frobenius(scaled - want) <= 1e-12 * frobenius(want)
+            _assert_scaled(k, scaled, s**p * out)
+
+
+def _assert_scaled(k, scaled, want):
+    if k % 2 == 0:
+        assert np.array_equal(scaled, want)
+    else:
+        assert frobenius(scaled - want) <= 1e-12 * frobenius(want)
+
+
+def _halves(n):
+    return n // 2, n - n // 2
+
+
+# (E of size n, the powers of s that k, f and e carry under g -> s g)
+GL_CASES = {
+    "diag": (diag_subspace, (0, 0, 1)),
+    "block": (lambda n: block_diag_subspace(_halves(n)), (0, 0, 1)),
+    "antiblock": (lambda n: block_antidiag_subspace(*_halves(n)), (0, 1, 0)),
+}
+# Condition about 7; at the scales 2^k, |k| >= 511, its singular values'
+# squares leave the floats.
+G2 = np.array([[1.0, 2.0], [0.5, 3.0]])
+
+
+@pytest.mark.parametrize("k", POWERS)
+@pytest.mark.parametrize("kind", sorted(GL_CASES))
+def test_gl_factorization_commutes_with_scaling(k, kind):
+    s = 2.0**k
+    make, powers = GL_CASES[kind]
+    rng = np.random.default_rng([k + 1000, len(kind), 2])
+    draws = [G2] + [random_invertible(rng, int(rng.integers(2, 6))) for _ in range(2)]
+    for g in draws:
+        e_sub = make(len(g))
+        scaled, out = mostow_gl(s * g, e_sub), mostow_gl(g, e_sub)
+        for name, p in zip("kfe", powers):
+            want = s**p * getattr(out, name)
+            if kind == "antiblock":
+                got = getattr(scaled, name)
+                assert frobenius(got - want) <= 1e-12 * frobenius(want)
+            else:
+                _assert_scaled(k, getattr(scaled, name), want)
 
 
 def _rel(a, b):

@@ -222,6 +222,24 @@ class TestBuild:
         assert given.flags.writeable
         assert sub.basis[0, 0, 0] == 1.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_basis_is_kept_as_its_symmetric_part(self, seed):
+        # Asymmetry within the bound is accepted and dropped, so that every
+        # combination of the basis, such as a projection's iterate w, is
+        # exactly symmetric and decomposed without a check.
+        rng = np.random.default_rng([3200, seed])
+        for n in (2, 3, 5, 8, 13):
+            e = build_subspace([random_sym(rng, n) for _ in range(n + 1)])
+            noise = 1e-12 * rng.standard_normal(e.basis.shape)
+            sub = Subspace(n=n, basis=e.basis + noise)
+            assert np.array_equal(sub.basis, sub.basis.transpose(0, 2, 1))
+            assert np.abs(sub.basis - e.basis).max() <= 1e-11
+            for _ in range(5):
+                w = subspace._combination(sub, rng.standard_normal(sub.dim))
+                assert np.array_equal(w, w.T)
+                p = subspace._projection(sub, random_sym(rng, n))
+                assert np.array_equal(p, p.T)
+
     @pytest.mark.parametrize("k", [-1000, -500, -41, 40, 500, 1000])
     def test_basis_is_free_of_the_scale(self, k):
         # The drop floor is relative to the largest generator, and there is

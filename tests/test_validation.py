@@ -13,6 +13,7 @@ compare by identity.  A product of valid operands that overflows is a
 DomainError "<function> overflows", with no RuntimeWarning on the way.
 """
 
+import sys
 import warnings
 
 import numpy as np
@@ -49,6 +50,7 @@ from spdgeom import (
     riem_log,
     riemannian_angle,
     sl2_decompose,
+    spd_exp,
     sym_eigen,
     tau,
     tau_inv,
@@ -285,6 +287,60 @@ def test_mostow_gl_decomposes_the_middle_factor_once(eig_count):
 
 
 # ---------------------------------------------------------------------------
+# Operand checks per call
+
+
+@pytest.fixture
+def check_count(monkeypatch):
+    """Count operand checks, the calls of matfun._as_square under every name
+    that a module of spdgeom binds it to."""
+    from spdgeom.matfun import _as_square
+
+    calls = []
+
+    def counted(a):
+        calls.append(None)
+        return _as_square(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spdgeom":
+            if getattr(module, "_as_square", None) is _as_square:
+                monkeypatch.setattr(module, "_as_square", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        result = fn(*args)
+        return len(calls), result
+
+    return count
+
+
+O3 = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, -1.0], [0.5, -1.0, 0.0]])
+E3 = spd_exp(np.diag([0.3, -0.2, 0.1]))
+
+
+def _from_known_factors(h, factor):
+    """x = e exp(h o) e with e = E3 in exp(diagonals): its projection takes
+    more iterations as h grows.  With ``factor``, g = exp(h o / 2) e, a factor
+    of that x."""
+    if factor:
+        return spd_exp(0.5 * h * O3) @ E3
+    return E3 @ spd_exp(h * O3) @ E3
+
+
+@pytest.mark.parametrize("fn", [geodesic_project, mostow_spd, mostow_gl])
+def test_operands_are_checked_once_per_call(check_count, fn):
+    # Each iterate's w and z (or m) are the library's own: their
+    # decompositions check nothing, so the checks do not grow with the
+    # iterations.
+    sub = diag_subspace(3)
+    near = check_count(fn, _from_known_factors(1.0, fn is mostow_gl), sub)
+    far = check_count(fn, _from_known_factors(5.0, fn is mostow_gl), sub)
+    assert near[1].iterations == 3 and far[1].iterations >= 6
+    assert near[0] == far[0]
+
+
+# ---------------------------------------------------------------------------
 # Result objects compare by identity
 
 OFF = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -341,8 +397,9 @@ OVERFLOWS = {
     "cosh_sinh_split": lambda: cosh_sinh_split(400.0 * I2, ANTI, (1, 1)),
     "ada_sum_split": lambda: ada_sum_split(ANTI, 300.0 * I2, (1, 1)),
     "congruence_action": lambda: congruence_action(1e100 * I2, 1e200 * I2),
+    # g = 1.5e308 h, h = [[1, 1], [1, -1]], has e = sqrt(2) 1.5e308 I.
     "mostow_gl": lambda: mostow_gl(
-        1e200 * np.array([[1.0, 2.0], [0.5, 3.0]]), diag_subspace(2)
+        1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]]), diag_subspace(2)
     ),
     "dexp_apply": lambda: dexp_apply(1500.0 * I2, np.ones((2, 2))),
     "dexp_inv_apply": lambda: dexp_inv_apply(np.diag([-1500.0, 0.0]), np.ones((2, 2))),
