@@ -19,20 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import _mostow_gl, _project, mostow_spd
+from .decompose import _mostow_gl, _project
 from .errors import ConvergenceError, DomainError
 from .matfun import (
     as_sym,
     frobenius,
     require_spd,
-    spd_exp,
-    sym_eigen,
     _as_square,
     _congruence,
+    _eigen,
     _finite,
     _map_checked,
     _one_size,
     _rebuild,
+    _spd_exp,
     _sym,
 )
 from .subspace import (
@@ -67,12 +67,8 @@ class BlockPartition:
 
     def diag_block_mask(self):
         """Boolean mask of the entries inside the diagonal blocks."""
-        mask = np.zeros((self.n, self.n), dtype=bool)
-        offset = 0
-        for s in self.sizes:
-            mask[offset : offset + s, offset : offset + s] = True
-            offset += s
-        return mask
+        block = np.repeat(np.arange(self.num_blocks), self.sizes)
+        return block[:, None] == block[None, :]
 
 
 def block_diag_part(m, partition):
@@ -105,15 +101,14 @@ def _two_block(partition, *mats):
 def _require_pattern(m, partition, diagonal, what):
     """DomainError ``what`` unless m is block-diagonal (``diagonal``) or
     block-anti-diagonal, up to the structural tolerance."""
-    outside = off_block_part if diagonal else block_diag_part
-    residual = frobenius(outside(m, partition))
+    residual = frobenius(np.where(partition.diag_block_mask() != diagonal, m, 0.0))
     if residual > _STRUCT_TOL * frobenius(m):
         raise DomainError(f"{what} (residual {residual:.3e})")
 
 
 def _cosh_sinh(a):
     """(cosh a, sinh a) from one eigendecomposition; |sinh| < cosh on reals."""
-    eig = sym_eigen(a)
+    eig = _eigen(a)
     cosh = _map_checked(math.cosh, eig.lam, "cosh", "eigenvalue")
     return _rebuild(eig, cosh), _rebuild(eig, np.sinh(eig.lam))
 
@@ -163,12 +158,12 @@ def diag_projection_compare(cov, **opts):
     """
     cov = as_sym(cov)
     n = cov.shape[0]
-    factors = mostow_spd(cov, diag_subspace(n), **opts)
-    pi = factors.pi
+    cur = _project(cov, diag_subspace(n), **opts)[0]
+    pi = cur.pi_pow(1.0, "diag_projection_compare")
     diag_cov = np.diag(np.diag(cov).copy())
     gap = frobenius(pi - diag_cov)
     equal = gap <= 1e-8 * frobenius(cov)
-    unit_diag_gap = frobenius(np.diag(np.diag(factors.f)) - np.eye(n))
+    unit_diag_gap = frobenius(np.diag(np.diag(cur.z)) - np.eye(n))
     return DiagProjectionReport(
         pi=pi, diag_cov=diag_cov, equal=equal, gap=gap, unit_diag_gap=unit_diag_gap
     )
@@ -197,8 +192,7 @@ def _log_factors(sigma, partition, diagonal, opts):
     sizes = partition.sizes
     e_sub = block_diag_subspace(sizes) if diagonal else block_antidiag_subspace(*sizes)
     log_e, log_f = _project(sigma, e_sub, **opts)[0].logs()
-    inside = block_diag_part if diagonal else off_block_part
-    stray = frobenius(inside(log_f, partition))
+    stray = frobenius(np.where(partition.diag_block_mask() == diagonal, log_f, 0.0))
     if stray > 1e-9 * max(1.0, frobenius(log_f)):
         kept = (
             "anti-diagonal factor kept diagonal-block"
@@ -243,7 +237,7 @@ def cosh_sinh_split(d, a, partition):
     _require_pattern(
         sinh_a, partition, False, "sinh factor left the block-anti-diagonal pattern"
     )
-    exp_d = spd_exp(d)
+    exp_d = _spd_exp(d)
     return BlockSplit(
         d_part=_congruence(exp_d, cosh_a, "cosh_sinh_split"),
         a_part=_congruence(exp_d, sinh_a, "cosh_sinh_split"),
@@ -263,7 +257,7 @@ def ada_sum_split(a_prime, d_prime, partition):
     )
     _require_pattern(d_prime, partition, True, "second factor is not block-diagonal")
     cosh_a, sinh_a = _cosh_sinh(a_prime)
-    exp_d = spd_exp(d_prime)
+    exp_d = _spd_exp(d_prime)
     what = "ada_sum_split"
     with np.errstate(over="ignore", invalid="ignore"):
         even = _congruence(cosh_a, exp_d, what) + _congruence(sinh_a, exp_d, what)

@@ -46,19 +46,20 @@ from .errors import ConvergenceError, DomainError
 from .matfun import (
     as_sym,
     frobenius,
-    require_spd,
-    spd_exp,
-    spd_log,
-    spd_sqrt_pair,
     SPD_TOL,
     _as_square,
     _check_spd_spectrum,
     _congruence,
     _eigen,
     _finite,
+    _freeze,
     _one_size,
     _passes_floor,
     _rebuild,
+    _spd_eigen,
+    _spd_exp,
+    _spd_map,
+    _spd_sqrt_pair,
     _svd,
     EigenDecomposition,
 )
@@ -244,8 +245,7 @@ def _scaled_log(x, e_sub, factor):
     n = e_sub.n
     split = np.array_equal(_projection(e_sub, np.eye(n)), np.eye(n))
     if not factor:
-        eig = _eigen(x)
-        _check_spd_spectrum(eig.lam)
+        eig = _spd_eigen(x)
         scale = int(np.frexp(eig.lam)[1].sum()) // (2 * n) if split else 0
         log_lam = np.log(np.ldexp(eig.lam, -2 * scale))
         return np.ldexp(x, -2 * scale), scale, _rebuild(eig, log_lam)
@@ -266,16 +266,16 @@ def _project(
     x, e_sub, factor=False, /, *, tol=_TOL, max_iter=_MAX_ITER, unchecked=False,
     initial=None,
 ):
-    """``geodesic_project``'s final iterate and iteration count; with
-    ``factor``, those of the projection of x^T x, worked from x alone."""
-    x = _require_pair(x, e_sub, factor)
+    """``geodesic_project``'s final iterate and iteration count for an x
+    that its public caller checked with ``_require_pair``; with ``factor``,
+    those of the projection of x^T x, worked from x alone."""
     if not (tol > 0 and isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise DomainError("tol must be positive and max_iter an integer >= 1")
     if initial is not None:
-        initial = _one_size(x, _as_square(initial))[1]
+        initial = _one_size(x, as_sym(initial))[1]
     x, scale, start = _scaled_log(x, e_sub, factor)
     if initial is not None:
-        start = spd_log(initial) - (scale * math.log(4.0)) * np.eye(e_sub.n)
+        start = _spd_map(initial, np.log) - (scale * math.log(4.0)) * np.eye(e_sub.n)
     _require_lts(e_sub, unchecked)
 
     cur = _Iterate(x, e_sub, _projection(e_sub, start), factor, scale)
@@ -335,6 +335,7 @@ def geodesic_project(
         If the residual does not fall below ``tol`` within ``max_iter``
         iterations; carries the last residual.
     """
+    x = _require_pair(x, e_sub)
     cur, iterations = _project(
         x, e_sub, tol=tol, max_iter=max_iter, unchecked=unchecked, initial=initial
     )
@@ -350,13 +351,13 @@ def mostow_spd(x, e_sub, **opts):
     bounds the E-component of log f.  No eigendecomposition runs after the
     projection's.
     """
-    cur, iterations = _project(x, e_sub, **opts)
+    cur, iterations = _project(_require_pair(x, e_sub), e_sub, **opts)
     e, pi = cur.pi_pow(0.5, "mostow_spd"), cur.pi_pow(1.0, "mostow_spd")
     return MostowFactors(e, cur.z, pi, iterations, cur.residual)
 
 
 def _mostow_gl(g, e_sub, opts):
-    """``mostow_gl`` and the final iterate of the projection of g^T g."""
+    """``mostow_gl`` of a checked g, and its projection's final iterate."""
     cur, iterations = _project(g, e_sub, True, **opts)
     # g e^{-1} = u s v^T = k f, the polar decomposition: f = z^{1/2} = v s v^T
     # and k = u v^T.
@@ -382,7 +383,7 @@ def mostow_gl(g, e_sub, **opts):
     is in E, the iteration factors 2^-m g, m from g's largest entry, and e
     is 2^m times its e, exactly; k and f do not move with g's scale.
     """
-    return _mostow_gl(g, e_sub, opts)[0]
+    return _mostow_gl(_require_pair(g, e_sub, True), e_sub, opts)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,22 +398,23 @@ class TranslatedSubmanifold:
     subspace: Subspace
 
     def __post_init__(self):
-        base = require_spd(_require_pair(self.base, self.subspace))
-        object.__setattr__(self, "base", base)
+        base = _require_pair(self.base, self.subspace)
+        _spd_eigen(base)
+        _freeze(self, base=base)
 
     def membership_residual(self, y):
         """Norm of the E-orthogonal part of log(x^{-1/2} y x^{-1/2})."""
-        _, xis = spd_sqrt_pair(self.base)
-        u = spd_log(_congruence(xis, as_sym(y), "membership_residual"))
-        return frobenius(u - project_trace(self.subspace, u))
+        _, xis = _spd_sqrt_pair(self.base)
+        u = _spd_map(_congruence(xis, as_sym(y), "membership_residual"), np.log)
+        return frobenius(u - _projection(self.subspace, u))
 
     def contains(self, y, tol=1e-9):
         return self.membership_residual(y) <= tol
 
     def point(self, u):
         """The member x^{1/2} exp(u) x^{1/2} for u in E."""
-        xs, _ = spd_sqrt_pair(self.base)
-        return _congruence(xs, spd_exp(project_trace(self.subspace, u)), "point")
+        xs, _ = _spd_sqrt_pair(self.base)
+        return _congruence(xs, _spd_exp(project_trace(self.subspace, u)), "point")
 
 
 def translate_convex_submanifold(x, e_sub):

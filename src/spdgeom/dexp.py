@@ -31,10 +31,11 @@ import numpy as np
 from .errors import DomainError
 from .matfun import (
     as_sym,
-    sym_eigen,
     _as_square,
     _congruence,
+    _eigen,
     _finite,
+    _freeze,
     _map_checked,
     _one_size,
     _rebuild,
@@ -62,13 +63,13 @@ class AdFunctionOperator:
     phi: Callable[[float], float]
 
     def __post_init__(self):
-        object.__setattr__(self, "base", as_sym(self.base))
+        _freeze(self, base=as_sym(self.base))
 
 
 def _in_eigenbasis(x, y):
     """(eigendecomposition of X, Y) for symmetrized X and Y of one size."""
     x, y = _one_size(as_sym(x), as_sym(y))
-    return sym_eigen(x), y
+    return _eigen(x), y
 
 
 def _scaled(eig, y, scale):
@@ -94,8 +95,8 @@ def ad_function_apply(op, y):
     phi(lambda_i - lambda_j).  The output is symmetric whenever phi is even;
     callers that rely on symmetry assert it themselves.
     """
-    eig, y = _in_eigenbasis(op.base, y)
-    at = "eigenvalue difference"
+    base, y = _one_size(op.base, as_sym(y))  # op.base was checked when made
+    eig, at = _eigen(base), "eigenvalue difference"
     out = _scaled(eig, y, lambda u: _map_checked(op.phi, u, "ad-function", at))
     return _finite(out, "ad_function_apply")
 
@@ -179,9 +180,12 @@ def conjugation_flow_field(x, y):
     only even powers of ad(X) occur, so the field is symmetric.  At X = 0 the
     kernel takes its limit value 2, giving W(0) = 2Y.
     """
-    return _sym_checked(
-        _scaled(*_in_eigenbasis(x, y), _kernel_u_coth_half), "conjugation_flow_field"
-    )
+    return _flow_field(*_in_eigenbasis(x, y))
+
+
+def _flow_field(eig, y):
+    """``conjugation_flow_field`` at X = Q diag(lambda) Q^T."""
+    return _sym_checked(_scaled(eig, y, _kernel_u_coth_half), "conjugation_flow_field")
 
 
 def integrate_conjugation_flow(x0, y, t, steps=100):
@@ -197,8 +201,9 @@ def integrate_conjugation_flow(x0, y, t, steps=100):
         raise DomainError("steps must be an integer >= 1")
     h = float(t) / steps
 
+    # Each stage is a sum of exactly symmetric arrays, so exactly symmetric.
     def field(point):
-        return conjugation_flow_field(_finite(point, "integrate_conjugation_flow"), y)
+        return _flow_field(_eigen(_finite(point, "integrate_conjugation_flow")), y)
 
     cur = x0
     with np.errstate(over="ignore", invalid="ignore"):

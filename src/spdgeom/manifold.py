@@ -21,18 +21,22 @@ from .matfun import (
     as_sym,
     frobenius,
     require_spd,
-    spd_exp,
     spd_inv,
-    spd_log,
-    spd_pow,
     spd_sqrt_pair,
-    tr_inner,
     _as_square,
+    _check_spd_spectrum,
     _congruence,
+    _eigen,
     _finite,
+    _freeze,
     _one_size,
     _spd_eigen,
+    _spd_exp,
+    _spd_map,
+    _spd_pow,
+    _spd_sqrt_pair,
     _svd,
+    _sym,
     _sym_checked,
 )
 
@@ -41,30 +45,32 @@ from .matfun import (
 _DEGENERATE_DIST = 1e-12
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TangentVector:
-    """A tangent vector: a symmetric matrix attached to a base point."""
+    """A tangent vector: a symmetric matrix attached to a base point; frozen."""
 
     base: np.ndarray
     vec: np.ndarray
 
     def __post_init__(self):
-        self.base, self.vec = _one_size(require_spd(self.base), as_sym(self.vec))
+        base, vec = _one_size(require_spd(self.base), as_sym(self.vec))
+        _freeze(self, base=base, vec=vec)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GeodesicSegment:
-    """The unique geodesic through two points, parametrized so that t=0
-    gives ``x`` and t=1 gives ``y``; y is checked as ``distance`` checks it,
-    through the pull-back x^{-1/2} y x^{-1/2} that ``geodesic`` takes."""
+    """The unique geodesic through two points, t=0 giving ``x`` and t=1 ``y``;
+    y is checked as ``distance`` checks it, through the pull-back
+    x^{-1/2} y x^{-1/2} that ``geodesic`` takes.  Frozen, with read-only x, y."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        _, xis = spd_sqrt_pair(self.x)
-        _spd_eigen(_congruence(xis, as_sym(self.y), "GeodesicSegment"))
-        self.x, self.y = as_sym(self.x), as_sym(self.y)
+        x = as_sym(self.x)
+        (_, xis), y = _spd_sqrt_pair(x), as_sym(self.y)
+        _spd_eigen(_congruence(xis, y, "GeodesicSegment"))
+        _freeze(self, x=x, y=y)
 
 
 def metric(x, u, v):
@@ -76,16 +82,21 @@ def metric(x, u, v):
 
 
 def geodesic(seg, t):
-    """Point gamma(t) on a geodesic segment; t may lie outside [0, 1].
+    """Point gamma(t) on a GeodesicSegment or a pair (x, y), a tuple or list;
+    t may lie outside [0, 1].
 
     y is checked as ``distance`` checks it, a pair's here and a segment's
     when it is made: through the pull-back x^{-1/2} y x^{-1/2}, whose power
     is taken.  That decomposition, and x's, are the two the call runs.
     """
-    x, y = (seg.x, seg.y) if isinstance(seg, GeodesicSegment) else seg
-    xs, xis = spd_sqrt_pair(x)
-    z = _congruence(xis, as_sym(y), "geodesic")
-    return _congruence(xs, spd_pow(z, t), "geodesic")
+    if isinstance(seg, GeodesicSegment):
+        (xs, xis), y = _spd_sqrt_pair(seg.x), seg.y
+    elif isinstance(seg, (tuple, list)) and len(seg) == 2:
+        (xs, xis), y = spd_sqrt_pair(seg[0]), as_sym(seg[1])
+    else:
+        raise DomainError("geodesic expects a GeodesicSegment or a pair (x, y)")
+    z = _congruence(xis, y, "geodesic")
+    return _congruence(xs, _spd_pow(z, t), "geodesic")
 
 
 def riem_log(x, y):
@@ -93,21 +104,23 @@ def riem_log(x, y):
 
     Returns ``x^{1/2} log(x^{-1/2} y x^{-1/2}) x^{1/2}`` attached to x.
     """
-    xs, xis = spd_sqrt_pair(x)
-    u = spd_log(_congruence(xis, as_sym(y), "riem_log"))
-    return TangentVector(x, _congruence(xs, u, "riem_log"))
+    x = as_sym(x)
+    xs, xis = _spd_sqrt_pair(x)
+    u = _spd_map(_congruence(xis, as_sym(y), "riem_log"), np.log)
+    vec = _congruence(xs, u, "riem_log")
+    return _freeze(object.__new__(TangentVector), base=x, vec=vec)
 
 
 def riem_exp(x, v):
     """Endpoint at t=1 of the geodesic from x with initial velocity v."""
     x = as_sym(x)
-    xs, xis = spd_sqrt_pair(x)
+    xs, xis = _spd_sqrt_pair(x)
     if not isinstance(v, TangentVector):
         raise DomainError("riem_exp expects a TangentVector")
     x, base = _one_size(x, v.base)
     if frobenius(base - x) > 1e-9 * frobenius(x):
         raise DomainError("tangent vector is not based at the given point")
-    u = spd_exp(_congruence(xis, v.vec, "riem_exp"))
+    u = _spd_exp(_congruence(xis, v.vec, "riem_exp"))
     return _congruence(xs, u, "riem_exp")
 
 
@@ -131,8 +144,9 @@ def congruence_action(g, x):
         raise DomainError("congruence factor is numerically singular")
     g, x = _one_size(g, require_spd(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        gx = _finite(g @ x @ g.T, "congruence_action")
-    return require_spd(gx)
+        gx = _sym(_finite(g @ x @ g.T, "congruence_action"))
+    _check_spd_spectrum(_eigen(gx).lam, "g x g^T in congruence_action")
+    return gx
 
 
 def geodesic_symmetry(x, y):
@@ -140,7 +154,7 @@ def geodesic_symmetry(x, y):
     x^{1/2} z^-1 x^{1/2} of the pull-back z = x^{-1/2} y x^{-1/2}."""
     xs, xis = spd_sqrt_pair(x)
     z = _congruence(xis, as_sym(y), "geodesic_symmetry")
-    return _congruence(xs, spd_inv(z), "geodesic_symmetry")
+    return _congruence(xs, _spd_map(z, np.reciprocal), "geodesic_symmetry")
 
 
 def riemannian_angle(vertex, p, q):
@@ -151,13 +165,13 @@ def riemannian_angle(vertex, p, q):
     [0, pi].
     """
     _, vis = spd_sqrt_pair(vertex)
-    a = spd_log(_congruence(vis, as_sym(p), "riemannian_angle"))
-    b = spd_log(_congruence(vis, as_sym(q), "riemannian_angle"))
+    a = _spd_map(_congruence(vis, as_sym(p), "riemannian_angle"), np.log)
+    b = _spd_map(_congruence(vis, as_sym(q), "riemannian_angle"), np.log)
     na = frobenius(a)
     nb = frobenius(b)
     if na <= _DEGENERATE_DIST or nb <= _DEGENERATE_DIST:
         raise DomainError("angle undefined: endpoint coincides with the vertex")
-    cosine = tr_inner(a, b) / (na * nb)
+    cosine = float(np.tensordot(a, b)) / (na * nb)
     return math.acos(min(1.0, max(-1.0, cosine)))
 
 
@@ -202,9 +216,9 @@ def sectional_curvature_id(x, y):
     if nx == 0.0 or ny == 0.0:
         raise DomainError("degenerate plane: tangent vectors are dependent")
     x, y = x / nx, y / ny
-    nx2 = tr_inner(x, x)
-    ny2 = tr_inner(y, y)
-    cross = tr_inner(x, y)
+    nx2 = float(np.tensordot(x, x))
+    ny2 = float(np.tensordot(y, y))
+    cross = float(np.tensordot(x, y))
     gram = nx2 * ny2 - cross**2
     if gram <= 1e-12 * nx2 * ny2:
         raise DomainError("degenerate plane: tangent vectors are dependent")

@@ -5,12 +5,9 @@ eigensolver, which is deterministic and accurate to machine precision for
 dense symmetric input.  Analytic functions (exp, log, sqrt, powers) are
 evaluated through the spectrum, so the results are symmetric by construction.
 The solver's results are kept for the last 4 distinct inputs, keyed by the
-exact bytes of the symmetrized matrix, so a base point that a Log, Exp or
-geodesic takes again is decomposed once: at most 4 * (2n^2 + n) read-only
-floats, about 260 KB at n = 64.  One private solve, ``_eigen``, looks an
-exactly symmetric, finite array that the library made (a projection
-iterate's w and its pull-back z) up in that cache and checks nothing; the
-public names check their operand, then call it.
+exact bytes of the matrix, so a base point that a Log, Exp or geodesic takes
+again is decomposed once: at most 4 * (2n^2 + n) read-only floats, about
+260 KB at n = 64.
 
 The second decomposition is the SVD, ``_svd``, for a general matrix g where
 the spectrum of g^T g is wanted without forming g^T g, which would square
@@ -18,25 +15,24 @@ g's condition: ``mostow_gl`` (and ``sl2_decompose`` through it) takes its
 start and each iterate's spectrum from it, and ``congruence_action`` its
 singularity check.  It is LAPACK's, not cached, with read-only factors.
 
-Operands are checked one at a time for a finite square array (``_as_square``,
-``as_sym``, ``require_spd``), then together, with the size of any subspace or
-partition, by the one size check ``_one_size``.  Every symmetric part, of an
-operand or of a result, is taken by ``_sym``.  A result formed from checked
-operands is closed by ``_finite``, the one source of "... overflows".  The
-congruence a m a, for a symmetric a the library built (x^{+-1/2} in the
-pull-back and push-forward of every Log, Exp and geodesic), is formed in one
-place, ``_congruence``, and closed there.
+A public name checks each operand once, where it enters: alone for a finite
+square array (``_as_square``, ``as_sym``, ``require_spd``), then with its
+partners and any subspace or partition (``_one_size``).  What the library
+formed, and a field of a frozen result (``_freeze``: read-only), takes the
+private path, which checks nothing: ``_eigen`` (the cached solve),
+``_spd_eigen`` (``_eigen`` plus the ``SPD_TOL`` floor, so positive
+definiteness is checked on the spectrum a function needs anyway), the bodies
+``_spd_map``, ``_spd_exp``, ``_spd_pow`` and ``_spd_sqrt_pair`` that the
+public ``spd_*`` names run after ``as_sym``, ``_rebuild`` and
+``_congruence``, which forms a m a for a symmetric a the library built
+(x^{+-1/2} in every Log, Exp and geodesic).  Every symmetric part is taken by
+``_sym``, and a result formed from checked operands is closed by
+``_finite``, the one source of "... overflows".  Every check on a matrix is
+relative to it, so the library commutes with x -> 4^k x bit for bit.
 
 A caller's scalar phi goes through one checked map, ``_map_checked``, over
 the eigenvalues (``sym_apply``) or their differences (``ad_function_apply``).
 It calls phi on one Python float at a time and accepts only a real number back.
-
-Positive definiteness is checked on the spectrum a function needs anyway.
-The one checked helper, ``_spd_eigen``, is ``sym_eigen`` with the ``SPD_TOL``
-floor on top; ``require_spd`` and the ``spd_*`` functions are built on it.
-Callers that need x^{1/2} or x^{-1/2} take them from that decomposition
-instead of validating x first.  Every check on a matrix is relative to it,
-so the library commutes with x -> 4^k x bit for bit.
 """
 
 import functools
@@ -110,6 +106,14 @@ def _finite(v, what):
     return v
 
 
+def _freeze(record, **arrays):
+    """record, a frozen dataclass, with these array fields set read-only."""
+    for name, value in arrays.items():
+        value.flags.writeable = False
+        object.__setattr__(record, name, value)
+    return record
+
+
 def _congruence(a, m, what):
     """The symmetric part of a @ m @ a for a symmetric a and an m of its size;
     DomainError "{what} overflows" where the product does."""
@@ -167,9 +171,7 @@ def _offdiag_norm(a):
     return frobenius(off)
 
 
-_ROUND_CACHE = {}
-
-
+@functools.cache
 def _jacobi_rounds(n):
     """Round-robin schedule: each sweep visits every index pair once, in
     rounds of pairwise-disjoint pivots.
@@ -180,9 +182,6 @@ def _jacobi_rounds(n):
     in a few dense matrix products.  A round is given by the flat indices of
     its entries (p, r), (p, p), (r, r) and (r, p), p < r, in an n x n array.
     """
-    cached = _ROUND_CACHE.get(n)
-    if cached is not None:
-        return cached
     bye = n if n % 2 else None
     players = list(range(n)) + ([bye] if bye is not None else [])
     m = len(players)
@@ -197,7 +196,6 @@ def _jacobi_rounds(n):
         r = np.array([b for _, b in pairs], dtype=int)
         rounds.append((p * n + r, p * (n + 1), r * (n + 1), r * n + p))
         players = [players[0], players[-1]] + players[1:-1]
-    _ROUND_CACHE[n] = rounds
     return rounds
 
 
@@ -368,14 +366,16 @@ def _check_spd_spectrum(lam, what="matrix", tol=SPD_TOL):
 
 
 def _spd_eigen(x):
-    """Eigendecomposition of a positive-definite matrix, checked on the way.
-
-    Symmetrizes x, decomposes it once and raises DomainError below the
-    ``SPD_TOL`` floor.
-    """
-    eig = sym_eigen(x)
+    """``_eigen`` of a checked or library-made x; DomainError below the floor."""
+    eig = _eigen(x)
     _check_spd_spectrum(eig.lam)
     return eig
+
+
+def _spd_map(x, f):
+    """f of a checked or library-made x through its spectrum, on the floor."""
+    eig = _spd_eigen(x)
+    return _rebuild(eig, f(eig.lam))
 
 
 def is_spd(x):
@@ -416,30 +416,37 @@ def spd_exp(a):
 
     DomainError where an eigenvalue's exponential overflows or underflows to
     zero."""
-    eig = sym_eigen(a)
+    return _spd_exp(as_sym(a))
+
+
+def _spd_exp(a):
+    """``spd_exp`` of a checked or library-made symmetric a."""
+    eig = _eigen(a)
     return _rebuild(eig, _exp_spectrum(eig.lam, eig.lam, "matrix exponential"))
 
 
 def spd_log(x):
     """Matrix logarithm of a positive-definite matrix (inverse of spd_exp)."""
-    eig = _spd_eigen(x)
-    return _rebuild(eig, np.log(eig.lam))
+    return _spd_map(as_sym(x), np.log)
 
 
 def spd_sqrt(x):
     """Positive-definite square root."""
-    eig = _spd_eigen(x)
-    return _rebuild(eig, np.sqrt(eig.lam))
+    return _spd_map(as_sym(x), np.sqrt)
 
 
 def spd_inv_sqrt(x):
     """Inverse of the positive-definite square root."""
-    eig = _spd_eigen(x)
-    return _rebuild(eig, 1.0 / np.sqrt(eig.lam))
+    return _spd_map(as_sym(x), lambda lam: 1.0 / np.sqrt(lam))
 
 
 def spd_sqrt_pair(x):
     """(x^{1/2}, x^{-1/2}) from a single eigendecomposition."""
+    return _spd_sqrt_pair(as_sym(x))
+
+
+def _spd_sqrt_pair(x):
+    """``spd_sqrt_pair`` of a checked or library-made symmetric x."""
     eig = _spd_eigen(x)
     root = np.sqrt(eig.lam)
     return _rebuild(eig, root), _rebuild(eig, 1.0 / root)
@@ -447,8 +454,7 @@ def spd_sqrt_pair(x):
 
 def spd_inv(x):
     """Inverse of a positive-definite matrix through its spectrum."""
-    eig = _spd_eigen(x)
-    return _rebuild(eig, 1.0 / eig.lam)
+    return _spd_map(as_sym(x), np.reciprocal)
 
 
 def spd_pow(x, t):
@@ -456,6 +462,11 @@ def spd_pow(x, t):
 
     DomainError where an eigenvalue's power overflows, underflows to zero or
     is undefined (t infinite at eigenvalue 1)."""
+    return _spd_pow(as_sym(x), t)
+
+
+def _spd_pow(x, t):
+    """``spd_pow`` of a checked or library-made symmetric x."""
     eig = _spd_eigen(x)
     with np.errstate(invalid="ignore"):
         exponents = t * np.log(eig.lam)

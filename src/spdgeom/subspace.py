@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParseError, _convert, _parse_json, _read_text
-from .matfun import as_sym, frobenius, _finite, _one_size, _sym
+from .matfun import as_sym, frobenius, _finite, _freeze, _one_size, _sym
 
 # Generators whose orthogonal residual falls below this fraction of the
 # largest generator norm are treated as dependent and dropped.
@@ -86,8 +86,7 @@ class Subspace:
             )
         if skew:
             basis = np.stack([_sym(b) for b in basis])
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        _freeze(self, basis=basis)
 
 
 def build_subspace(generators):
@@ -153,7 +152,7 @@ def orthogonal_complement(e):
     full_dim = e.n * (e.n + 1) // 2
     # The standard basis: the diagonal entries, then the off-diagonal ones.
     std = [_entry_subspace(range(1, e.n + 1), side).basis for side in (True, False)]
-    cands = (c - project_trace(e, c) for c in np.concatenate(std))
+    cands = (c - _projection(e, c) for c in np.concatenate(std))
     basis = _gram_schmidt(cands, _DROP_TOL)
     expected = full_dim - e.dim
     if len(basis) != expected:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,4 +87,29 @@ def eig_count(monkeypatch):
 
     count.svds = lambda: len(svds)
     count.runs = lambda: _solve.cache_info().misses + count.svds()
+    return count
+
+
+@pytest.fixture
+def check_count(monkeypatch):
+    """Count operand checks, the calls of matfun._as_square under every name
+    that a module of spdgeom binds it to."""
+    from spdgeom.matfun import _as_square
+
+    calls = []
+
+    def counted(a):
+        calls.append(None)
+        return _as_square(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spdgeom":
+            if getattr(module, "_as_square", None) is _as_square:
+                monkeypatch.setattr(module, "_as_square", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        result = fn(*args)
+        return len(calls), result
+
     return count

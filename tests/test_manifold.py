@@ -5,6 +5,7 @@ functions, explicit trace formulas), the tests do so rather than reusing the
 code under test.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -446,3 +447,55 @@ class TestCurvature:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="^curvature overflows$"):
                 curvature_tensor_id(x, y, z)
+
+
+# ---------------------------------------------------------------------------
+# Records hold what was checked; malformed operands are DomainErrors
+
+# (record, its fields): riem_log builds its TangentVector from a base it
+# checked and a vector it made, without the constructor.
+FROZEN = {
+    "TangentVector": (lambda: TangentVector(np.eye(2), OFFDIAG), ("base", "vec")),
+    "riem_log": (lambda: riem_log(np.eye(2), X22), ("base", "vec")),
+    "GeodesicSegment": (lambda: GeodesicSegment(np.eye(2), X22), ("x", "y")),
+}
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        pytest.param(make, field, id=f"{name}-{field}")
+        for name, (make, fields) in FROZEN.items()
+        for field in fields
+    ],
+)
+def test_records_are_frozen_with_read_only_arrays(make, field):
+    # riem_exp and geodesic take these fields as checked: a NaN written into
+    # one once surfaced as "riem_exp overflows", and a skew vec was accepted.
+    record = make()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(record, field)[0, 0] = np.nan
+
+
+@pytest.mark.parametrize(
+    "seg",
+    [5, None, (np.eye(2),), (np.eye(2), np.eye(2), np.eye(2))],
+    ids=["int", "none", "one-matrix", "three-matrices"],
+)
+def test_geodesic_rejects_a_malformed_segment(seg):
+    message = r"^geodesic expects a GeodesicSegment or a pair \(x, y\)$"
+    with pytest.raises(DomainError, match=message):
+        geodesic(seg, 0.5)
+
+
+def test_congruence_action_names_its_product_below_the_floor():
+    # g and x each pass their checks; g x g^T = diag(1, 1e-21) does not.
+    g = x = np.diag([1.0, 1e-7])
+    message = (
+        r"^g x g\^T in congruence_action is not positive definite: "
+        r"smallest eigenvalue 1\.000000e-21 "
+    )
+    with pytest.raises(DomainError, match=message):
+        congruence_action(g, x)

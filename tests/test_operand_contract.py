@@ -320,3 +320,21 @@ def test_operand_contract(name, case, data):
             bad[at][i, j] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         with pytest.raises(s.DomainError):
             op.call(n, *bad)
+
+
+# Entries that are compositions of public calls: each call checks the
+# operands it is given.  al_kashi_slack takes three distances (two each) and
+# one riemannian_angle (three); y enters two methods of the submanifold.
+COMPOSED_CHECKS = {"al_kashi_slack": 9, "translate_convex_submanifold": 4}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_each_operand_is_checked_once(check_count, name):
+    # An operand is checked where it enters a public callable; every matrix
+    # the library forms from it, or keeps in a frozen result, takes the
+    # private path.
+    op = CONTRACT[name]
+    n = op.sizes[-1]
+    ops = _operands(np.random.default_rng(24), op, n)
+    checks, _ = check_count(op.call, n, *ops)
+    assert checks == COMPOSED_CHECKS.get(name, len(op.roles))

@@ -13,7 +13,6 @@ compare by identity.  A product of valid operands that overflows is a
 DomainError "<function> overflows", with no RuntimeWarning on the way.
 """
 
-import sys
 import warnings
 
 import numpy as np
@@ -288,31 +287,6 @@ def test_mostow_gl_decomposes_the_middle_factor_once(eig_count):
 
 # ---------------------------------------------------------------------------
 # Operand checks per call
-
-
-@pytest.fixture
-def check_count(monkeypatch):
-    """Count operand checks, the calls of matfun._as_square under every name
-    that a module of spdgeom binds it to."""
-    from spdgeom.matfun import _as_square
-
-    calls = []
-
-    def counted(a):
-        calls.append(None)
-        return _as_square(a)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "spdgeom":
-            if getattr(module, "_as_square", None) is _as_square:
-                monkeypatch.setattr(module, "_as_square", counted)
-
-    def count(fn, *args):
-        calls.clear()
-        result = fn(*args)
-        return len(calls), result
-
-    return count
 
 
 O3 = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, -1.0], [0.5, -1.0, 0.0]])
