@@ -35,8 +35,8 @@ from .matfun import (
     _spd_exp,
     _sym,
 )
+from .matfun import _record, _sizes  # the argument checkers
 from .subspace import (
-    _check_partition,
     block_antidiag_subspace,
     block_diag_subspace,
     diag_subspace,
@@ -55,7 +55,7 @@ class BlockPartition:
     sizes: tuple
 
     def __init__(self, sizes):
-        object.__setattr__(self, "sizes", tuple(_check_partition(sizes)))
+        object.__setattr__(self, "sizes", tuple(_sizes(sizes, "BlockPartition")))
 
     @property
     def n(self):
@@ -73,19 +73,21 @@ class BlockPartition:
 
 def block_diag_part(m, partition):
     """Entrywise restriction to the diagonal blocks."""
+    _record(partition, BlockPartition, "block_diag_part", "partition")
     m = _one_size(_as_square(m), n=partition.n)
     return np.where(partition.diag_block_mask(), m, 0.0)
 
 
 def off_block_part(m, partition):
     """Entrywise restriction to the off-diagonal blocks."""
+    _record(partition, BlockPartition, "off_block_part", "partition")
     m = _one_size(_as_square(m), n=partition.n)
     return np.where(partition.diag_block_mask(), 0.0, m)
 
 
 def _two_block(partition, *mats):
-    """The partition, which must have two blocks, followed by the matrices
-    symmetrized, each of the partition's dimension."""
+    """The partition, a BlockPartition or its sizes, which must have two
+    blocks, followed by the matrices symmetrized, each of its dimension."""
     if not isinstance(partition, BlockPartition):
         partition = BlockPartition(partition)
     if partition.num_blocks != 2:
@@ -158,7 +160,7 @@ def diag_projection_compare(cov, **opts):
     """
     cov = as_sym(cov)
     n = cov.shape[0]
-    cur = _project(cov, diag_subspace(n), **opts)[0]
+    cur = _project(cov, diag_subspace(n), "diag_projection_compare", **opts)[0]
     pi = cur.pi_pow(1.0, "diag_projection_compare")
     diag_cov = np.diag(np.diag(cov).copy())
     gap = frobenius(pi - diag_cov)
@@ -188,10 +190,11 @@ class AdaFactors:
 def _log_factors(sigma, partition, diagonal, opts):
     """(log e, log f) of Sigma = e f e over the block-diagonal subspace
     (``diagonal``) or the block-anti-diagonal one; log f must have left it."""
+    fn = "dad_decompose" if diagonal else "ada_decompose"
     partition, sigma = _two_block(partition, sigma)
     sizes = partition.sizes
     e_sub = block_diag_subspace(sizes) if diagonal else block_antidiag_subspace(*sizes)
-    log_e, log_f = _project(sigma, e_sub, **opts)[0].logs()
+    log_e, log_f = _project(sigma, e_sub, fn, **opts)[0].logs()
     stray = frobenius(np.where(partition.diag_block_mask() == diagonal, log_f, 0.0))
     if stray > 1e-9 * max(1.0, frobenius(log_f)):
         kept = (
@@ -295,7 +298,7 @@ def sl2_decompose(g, **opts):
         det = float(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
     if not abs(det - 1.0) <= 1e-9:
         raise DomainError(f"determinant must be 1, got {det!r}")
-    factors, cur = _mostow_gl(g, sl2_traceless_diag_subspace(), opts)
+    factors, cur = _mostow_gl(g, sl2_traceless_diag_subspace(), "sl2_decompose", opts)
     log_e, log_f = cur.logs(0.5)  # the factor f of g is z^{1/2}
     # log f lies in span{I, offdiag} with zero trace part (det f = 1), and
     # log e in span{diag(1, -1)}; deviations signal a failed factorization.
@@ -323,11 +326,7 @@ def sl2_decompose(g, **opts):
 
 def sl2_reconstruct(factors):
     """Product k f e of the three factors."""
-    f = np.array(
-        [
-            [math.cosh(factors.beta), math.sinh(factors.beta)],
-            [math.sinh(factors.beta), math.cosh(factors.beta)],
-        ]
-    )
+    _record(factors, Sl2Factors, "sl2_reconstruct", "factors")
+    c, s = math.cosh(factors.beta), math.sinh(factors.beta)
     e = np.diag([math.exp(factors.alpha), math.exp(-factors.alpha)])
-    return factors.k @ f @ e
+    return factors.k @ np.array([[c, s], [s, c]]) @ e

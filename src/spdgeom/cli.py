@@ -71,15 +71,10 @@ def _default_tol():
 
 
 def _parse_rows(rows, origin):
-    m = _convert(_floats, rows, f"{origin}: not a numeric matrix")
     try:
-        return _as_square(m)
+        return _as_square(rows)
     except DomainError as exc:
         raise ParseError(f"{origin}: {exc}") from exc
-
-
-def _floats(rows):
-    return np.asarray(rows, dtype=float)
 
 
 def _read_csv(text, origin):
@@ -184,24 +179,21 @@ def parse_subspace_spec(spec, n):
 
 
 def _lts_payload(report):
-    payload = {
+    w = report.witness
+    return {
         "is_lts": report.is_lts,
         "max_residual": report.max_residual,
         "double_bracket_is_lts": report.double_bracket_is_lts,
         "double_bracket_residual": report.double_bracket_residual,
         "tol": report.tol,
+        "witness": None if w is None else {
+            "x": _matrix_out(w.x),
+            "y": _matrix_out(w.y),
+            "z": _matrix_out(w.z),
+            "residual": w.residual,
+            "off_component": _matrix_out(w.off_component),
+        },
     }
-    if report.witness is not None:
-        payload["witness"] = {
-            "x": _matrix_out(report.witness.x),
-            "y": _matrix_out(report.witness.y),
-            "z": _matrix_out(report.witness.z),
-            "residual": report.witness.residual,
-            "off_component": _matrix_out(report.witness.off_component),
-        }
-    else:
-        payload["witness"] = None
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +348,9 @@ def _option(params, key, opt):
         return opt.fallback()
     if value is None:
         return opt.default
+    fraction = opt.type is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) != (opt.type is bool) or fraction:
+        raise ParseError(f"option {key!r} takes {opt.type.__name__}, not {value!r}")
     converted = _convert(opt.type, value, f"bad value for option {key!r}")
     if _unfit(converted):
         raise ParseError(f"option {key!r} is not a finite number: {value!r}")
@@ -441,9 +436,9 @@ def _report(command, params, exc=None):
         code, kind = next((c, k) for cls, c, k in _ERRORS if isinstance(exc, cls))
         report["exit_code"] = code
         report["error"] = {"type": kind, "message": str(exc)}
-        residual = getattr(exc, "residual", None)
-        if residual is not None:
-            report["diagnostics"]["residual"] = float(residual)
+        for key, kind in (("iterations", int), ("residual", float)):
+            if (value := getattr(exc, key, None)) is not None:
+                report["diagnostics"][key] = kind(value)
         report["outputs"] = getattr(exc, "partial_outputs", None) or {}
     return report
 

@@ -36,7 +36,6 @@ no operand check per iterate.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +62,7 @@ from .matfun import (
     _svd,
     EigenDecomposition,
 )
+from .matfun import _count, _record, _tol  # the argument checkers
 from .subspace import Subspace, lts_check, project_trace, _combination, _projection
 
 _TOL, _MAX_ITER = 1e-11, 500  # the projection's default tol and max_iter
@@ -103,20 +103,15 @@ class GlFactors:
     residual: float
 
 
-def _require_pair(x, e_sub, factor=False):
-    """x symmetrized (a factor as it is), of E's ambient dimension; positive
-    definiteness is left to the decomposition of x that the caller needs
-    anyway."""
-    if not isinstance(e_sub, Subspace):
-        raise DomainError("e_sub must be a Subspace")
+def _require_pair(x, e_sub, fn, factor=False):
+    """x symmetrized (a factor as it is), of E's dimension, for the public
+    ``fn``; its floor is left to the decomposition the caller needs anyway."""
+    _record(e_sub, Subspace, fn, "e_sub")
     return _one_size(_as_square(x) if factor else as_sym(x), n=e_sub.n)
 
 
 def _require_lts(e_sub, unchecked):
-    if unchecked:
-        return
-    report = lts_check(e_sub)
-    if not report.is_lts:
+    if not unchecked and not (report := lts_check(e_sub)).is_lts:
         raise DomainError(
             "subspace is not closed under nested brackets "
             f"(max residual {report.max_residual:.3e}); projection onto its "
@@ -263,20 +258,19 @@ def _scaled_log(x, e_sub, factor):
 
 
 def _project(
-    x, e_sub, factor=False, /, *, tol=_TOL, max_iter=_MAX_ITER, unchecked=False,
+    x, e_sub, fn, factor=False, /, *, tol=_TOL, max_iter=_MAX_ITER, unchecked=False,
     initial=None,
 ):
     """``geodesic_project``'s final iterate and iteration count for an x
-    that its public caller checked with ``_require_pair``; with ``factor``,
-    those of the projection of x^T x, worked from x alone."""
-    if not (tol > 0 and isinstance(max_iter, numbers.Integral) and max_iter >= 1):
-        raise DomainError("tol must be positive and max_iter an integer >= 1")
+    that its public caller ``fn`` checked with ``_require_pair``; with
+    ``factor``, those of the projection of x^T x, worked from x alone."""
+    tol, max_iter = _tol(tol, fn), _count(max_iter, fn, "max_iter")
     if initial is not None:
         initial = _one_size(x, as_sym(initial))[1]
     x, scale, start = _scaled_log(x, e_sub, factor)
     if initial is not None:
         start = _spd_map(initial, np.log) - (scale * math.log(4.0)) * np.eye(e_sub.n)
-    _require_lts(e_sub, unchecked)
+    _require_lts(e_sub, _record(unchecked, bool, fn, "unchecked"))
 
     cur = _Iterate(x, e_sub, _projection(e_sub, start), factor, scale)
     for iteration in range(max_iter):
@@ -335,10 +329,9 @@ def geodesic_project(
         If the residual does not fall below ``tol`` within ``max_iter``
         iterations; carries the last residual.
     """
-    x = _require_pair(x, e_sub)
-    cur, iterations = _project(
-        x, e_sub, tol=tol, max_iter=max_iter, unchecked=unchecked, initial=initial
-    )
+    x = _require_pair(x, e_sub, "geodesic_project")
+    opts = dict(tol=tol, max_iter=max_iter, unchecked=unchecked, initial=initial)
+    cur, iterations = _project(x, e_sub, "geodesic_project", **opts)
     pi = cur.pi_pow(1.0, "geodesic_project")
     return ProjectionResult(pi, iterations, cur.residual)
 
@@ -351,14 +344,15 @@ def mostow_spd(x, e_sub, **opts):
     bounds the E-component of log f.  No eigendecomposition runs after the
     projection's.
     """
-    cur, iterations = _project(_require_pair(x, e_sub), e_sub, **opts)
+    x = _require_pair(x, e_sub, "mostow_spd")
+    cur, iterations = _project(x, e_sub, "mostow_spd", **opts)
     e, pi = cur.pi_pow(0.5, "mostow_spd"), cur.pi_pow(1.0, "mostow_spd")
     return MostowFactors(e, cur.z, pi, iterations, cur.residual)
 
 
-def _mostow_gl(g, e_sub, opts):
-    """``mostow_gl`` of a checked g, and its projection's final iterate."""
-    cur, iterations = _project(g, e_sub, True, **opts)
+def _mostow_gl(g, e_sub, fn, opts):
+    """``mostow_gl`` of a g that ``fn`` checked, and its projection's final iterate."""
+    cur, iterations = _project(g, e_sub, fn, True, **opts)
     # g e^{-1} = u s v^T = k f, the polar decomposition: f = z^{1/2} = v s v^T
     # and k = u v^T.
     k, f = cur.u @ cur.eig.q.T, _rebuild(cur.eig, cur.eig.lam)
@@ -383,7 +377,8 @@ def mostow_gl(g, e_sub, **opts):
     is in E, the iteration factors 2^-m g, m from g's largest entry, and e
     is 2^m times its e, exactly; k and f do not move with g's scale.
     """
-    return _mostow_gl(_require_pair(g, e_sub, True), e_sub, opts)[0]
+    g = _require_pair(g, e_sub, "mostow_gl", True)
+    return _mostow_gl(g, e_sub, "mostow_gl", opts)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,7 +393,8 @@ class TranslatedSubmanifold:
     subspace: Subspace
 
     def __post_init__(self):
-        base = _require_pair(self.base, self.subspace)
+        _record(self.subspace, Subspace, "TranslatedSubmanifold", "subspace")
+        base = _one_size(as_sym(self.base), n=self.subspace.n)
         _spd_eigen(base)
         _freeze(self, base=base)
 
@@ -409,6 +405,7 @@ class TranslatedSubmanifold:
         return frobenius(u - _projection(self.subspace, u))
 
     def contains(self, y, tol=1e-9):
+        tol = _tol(tol, "TranslatedSubmanifold.contains")
         return self.membership_residual(y) <= tol
 
     def point(self, u):

@@ -22,13 +22,11 @@ Frobenius norm; this is the distance-increasing property of the exponential
 map that makes the manifold complete.
 """
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
 from .matfun import (
     as_sym,
     _as_square,
@@ -41,6 +39,7 @@ from .matfun import (
     _rebuild,
     _sym_checked,
 )
+from .matfun import _count, _real, _record  # the argument checkers
 
 
 def ad(x, y):
@@ -95,6 +94,7 @@ def ad_function_apply(op, y):
     phi(lambda_i - lambda_j).  The output is symmetric whenever phi is even;
     callers that rely on symmetry assert it themselves.
     """
+    _record(op, AdFunctionOperator, "ad_function_apply", "op")
     base, y = _one_size(op.base, as_sym(y))  # op.base was checked when made
     eig, at = _eigen(base), "eigenvalue difference"
     out = _scaled(eig, y, lambda u: _map_checked(op.phi, u, "ad-function", at))
@@ -197,9 +197,8 @@ def integrate_conjugation_flow(x0, y, t, steps=100):
     flow field itself.
     """
     x0, y = _one_size(as_sym(x0), as_sym(y))
-    if not (isinstance(steps, numbers.Integral) and steps >= 1):
-        raise DomainError("steps must be an integer >= 1")
-    h = float(t) / steps
+    steps = _count(steps, "integrate_conjugation_flow", "steps")
+    h = _real(t, "integrate_conjugation_flow") / steps
 
     # Each stage is a sum of exactly symmetric arrays, so exactly symmetric.
     def field(point):

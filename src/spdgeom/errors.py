@@ -4,6 +4,7 @@ payload the ``spd`` CLI takes (matrices, ``file:`` subspaces, manifests):
 a malformed file, JSON text or number into a ParseError."""
 
 import json
+import os
 
 
 class SpdGeomError(Exception):
@@ -33,11 +34,11 @@ class ParseError(SpdGeomError, ValueError):
 
 def _read_text(path, what=""):
     """The UTF-8 text at ``path``; ParseError "cannot read {what}{path}: ..."
-    where it cannot be opened or decoded, or the path has a NUL byte."""
+    where it is no path (a file descriptor), cannot be read, or has a NUL."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(os.fspath(path), encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ParseError(f"cannot read {what}{path}: {exc}") from exc
 
 

@@ -39,6 +39,7 @@ from .matfun import (
     _sym,
     _sym_checked,
 )
+from .matfun import _real, _record  # the argument checkers
 
 # Two points closer than this are treated as coincident when an angle or a
 # triangle needs a well-defined vertex.
@@ -96,7 +97,7 @@ def geodesic(seg, t):
     else:
         raise DomainError("geodesic expects a GeodesicSegment or a pair (x, y)")
     z = _congruence(xis, y, "geodesic")
-    return _congruence(xs, _spd_pow(z, t), "geodesic")
+    return _congruence(xs, _spd_pow(z, _real(t, "geodesic")), "geodesic")
 
 
 def riem_log(x, y):
@@ -115,9 +116,7 @@ def riem_exp(x, v):
     """Endpoint at t=1 of the geodesic from x with initial velocity v."""
     x = as_sym(x)
     xs, xis = _spd_sqrt_pair(x)
-    if not isinstance(v, TangentVector):
-        raise DomainError("riem_exp expects a TangentVector")
-    x, base = _one_size(x, v.base)
+    x, base = _one_size(x, _record(v, TangentVector, "riem_exp", "v").base)
     if frobenius(base - x) > 1e-9 * frobenius(x):
         raise DomainError("tangent vector is not based at the given point")
     u = _spd_exp(_congruence(xis, v.vec, "riem_exp"))

@@ -16,10 +16,14 @@ start and each iterate's spectrum from it, and ``congruence_action`` its
 singularity check.  It is LAPACK's, not cached, with read-only factors.
 
 A public name checks each operand once, where it enters: alone for a finite
-square array (``_as_square``, ``as_sym``, ``require_spd``), then with its
-partners and any subspace or partition (``_one_size``).  What the library
-formed, and a field of a frozen result (``_freeze``: read-only), takes the
-private path, which checks nothing: ``_eigen`` (the cached solve),
+real square array (``_as_square``, ``as_sym``, ``require_spd``; ``_as_floats``
+refuses text and complex entries), then with its partners and any subspace or
+partition (``_one_size``).  Every other argument goes through the checker of
+its kind, which names the function and the argument: ``_real``, ``_tol``,
+``_count``, ``_sizes`` (block sizes) and ``_record`` (an instance of a class;
+a flag is a ``bool``).  A bool is no number, a numpy scalar is one.  What the
+library formed, and a field of a frozen result (``_freeze``: read-only), takes
+the private path, which checks nothing: ``_eigen`` (the cached solve),
 ``_spd_eigen`` (``_eigen`` plus the ``SPD_TOL`` floor, so positive
 definiteness is checked on the spectrum a function needs anyway), the bodies
 ``_spd_map``, ``_spd_exp``, ``_spd_pow`` and ``_spd_sqrt_pair`` that the
@@ -63,14 +67,57 @@ _MAX_SWEEPS = 50
 _CACHE_SIZE = 4
 
 
+def _as_floats(a):
+    """a as a float64 array; DomainError unless numpy reads its entries as
+    booleans, integers or floats (not as text, complex numbers or objects)."""
+    try:
+        a = np.asarray(a)
+        if a.dtype.kind not in "biuf":
+            raise TypeError(f"entries of dtype {a.dtype}")
+        return a.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"not a numeric matrix: {exc}") from exc
+
+
 def _as_square(a):
-    """a as float64, checked finite, square, 2-d and of size >= 1."""
-    a = np.asarray(a, dtype=float)
+    """a as float64, checked real, finite, square, 2-d and of size >= 1."""
+    a = _as_floats(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix contains non-finite entries")
     return a
+
+
+def _argument(ok, value, fn, name, kind):
+    """value if ok, else DomainError "{fn}: {name} must be {kind}, got ..."."""
+    if not ok:
+        raise DomainError(f"{fn}: {name} must be {kind}, got {value!r}")
+    return value
+
+
+def _real(t, fn, name="t"):  # nan and inf pass, for the callee to answer
+    real = isinstance(t, numbers.Real) and not isinstance(t, bool)
+    return float(_argument(real, t, fn, name, "a real number"))
+
+
+def _tol(tol, fn):
+    return float(_argument(_real(tol, fn, "tol") > 0, tol, fn, "tol", "a real > 0"))
+
+
+def _count(k, fn, name, least=1):
+    ok = isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= least
+    return int(_argument(ok, k, fn, name, f"an integer >= {least}"))
+
+
+def _sizes(sizes, fn):  # block sizes: a non-empty sequence of counts
+    counts = hasattr(sizes, "__iter__") and [_count(s, fn, "block size") for s in sizes]
+    _argument(counts, sizes, fn, "sizes", "a non-empty sequence of block sizes")
+    return counts
+
+
+def _record(r, cls, fn, name):  # a flag is a record of class bool
+    return _argument(isinstance(r, cls), r, fn, name, f"a {cls.__name__}")
 
 
 def _sym(m):
@@ -129,7 +176,7 @@ def frobenius(a):
     ``a`` scaled by an exact power of two: the norm of 2**k * a is 2**k times
     the norm of a, bit for bit, and inf only beyond the float range.
     """
-    x = np.asarray(a, dtype=float).ravel(order="K")
+    x = _as_floats(a).ravel(order="K")
     # np.vdot sums as np.linalg.norm does, but overflows without a warning.
     norm = math.sqrt(np.vdot(x, x))
     if 1e-150 < norm < 1e150:
@@ -462,7 +509,7 @@ def spd_pow(x, t):
 
     DomainError where an eigenvalue's power overflows, underflows to zero or
     is undefined (t infinite at eigenvalue 1)."""
-    return _spd_pow(as_sym(x), t)
+    return _spd_pow(as_sym(x), _real(t, "spd_pow"))
 
 
 def _spd_pow(x, t):

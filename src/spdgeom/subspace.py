@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParseError, _convert, _parse_json, _read_text
-from .matfun import as_sym, frobenius, _finite, _freeze, _one_size, _sym
+from .matfun import as_sym, frobenius, _as_floats, _finite, _freeze, _one_size, _sym
+from .matfun import _count, _record, _sizes, _tol  # the argument checkers
 
 # Generators whose orthogonal residual falls below this fraction of the
 # largest generator norm are treated as dependent and dropped.
@@ -128,6 +129,7 @@ def _gram_schmidt(mats, floor):
 
 def project_trace(e, y):
     """Orthogonal projection of a symmetric matrix onto the subspace."""
+    _record(e, Subspace, "project_trace", "e")
     return _projection(e, _one_size(as_sym(y), n=e.n))
 
 
@@ -149,6 +151,7 @@ def orthogonal_complement(e):
     The complement of a full subspace is returned with dimension zero, which
     is the explicit "empty" flag.
     """
+    _record(e, Subspace, "orthogonal_complement", "e")
     full_dim = e.n * (e.n + 1) // 2
     # The standard basis: the diagonal entries, then the off-diagonal ones.
     std = [_entry_subspace(range(1, e.n + 1), side).basis for side in (True, False)]
@@ -283,8 +286,7 @@ def lts_check(e, tol=_LTS_TOL):
     k-dimensional subspace of n x n matrices costs O(k^2 n^2) memory and
     O(k^3 n^3 + k^4 |Z|) time, the k^4 |Z| part being the projections.
     """
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
+    e, tol = _record(e, Subspace, "lts_check", "e"), _tol(tol, "lts_check")
     cached = e._lts_cache.get(tol)
     if cached is not None:
         return cached
@@ -363,10 +365,10 @@ def multi_block_zero_diag_counterexample(num_blocks, block_size=1, tol=_LTS_TOL)
     nested brackets, so the report always comes back negative with a
     concrete witness triple.
     """
-    if num_blocks < 3:
-        raise DomainError("counterexample needs at least three blocks")
-    sub = zero_diag_block_subspace([block_size] * num_blocks)
-    return lts_check(sub, tol=tol)
+    fn = "multi_block_zero_diag_counterexample"
+    num_blocks = _count(num_blocks, fn, "num_blocks", least=3)
+    sub = zero_diag_block_subspace([_count(block_size, fn, "block_size")] * num_blocks)
+    return lts_check(sub, tol=_tol(tol, fn))
 
 
 # ---------------------------------------------------------------------------
@@ -401,27 +403,25 @@ def _entry_subspace(ends, inside):
 
 def diag_subspace(n):
     """All diagonal matrices."""
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
-    return _entry_subspace(range(1, n + 1), inside=True)
+    return _entry_subspace(range(1, _count(n, "diag_subspace", "n") + 1), inside=True)
 
 
 def block_diag_subspace(sizes):
     """Symmetric matrices supported on the diagonal blocks of a partition."""
-    ends = itertools.accumulate(_check_partition(sizes))
+    ends = itertools.accumulate(_sizes(sizes, "block_diag_subspace"))
     return _entry_subspace(list(ends), inside=True)
 
 
 def block_antidiag_subspace(p, q):
     """Symmetric matrices with zero diagonal blocks for a two-block split."""
-    if p < 1 or q < 1:
-        raise DomainError("both blocks must be non-empty")
+    fn = "block_antidiag_subspace"
+    p, q = _count(p, fn, "p"), _count(q, fn, "q")
     return _entry_subspace([p, p + q], inside=False)
 
 
 def zero_diag_block_subspace(sizes):
     """Symmetric matrices whose diagonal blocks vanish, any number of blocks."""
-    ends = list(itertools.accumulate(_check_partition(sizes)))
+    ends = list(itertools.accumulate(_sizes(sizes, "zero_diag_block_subspace")))
     if len(ends) == 1:
         raise DomainError("partition leaves no off-block entries")
     return _entry_subspace(ends, inside=False)
@@ -432,13 +432,6 @@ def sl2_traceless_diag_subspace():
     root_half = 1.0 / math.sqrt(2.0)
     basis = np.array([[[root_half, 0.0], [0.0, -root_half]]])
     return Subspace(n=2, basis=basis)
-
-
-def _check_partition(sizes):
-    sizes = [int(s) for s in sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise DomainError(f"invalid block partition {sizes}")
-    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +450,7 @@ def subspace_from_dict(obj):
 
 
 def _n_and_generators(obj):
-    return int(obj["n"]), [np.asarray(g, dtype=float) for g in obj["generators"]]
+    return int(obj["n"]), [_as_floats(g) for g in obj["generators"]]
 
 
 def load_subspace(path):

@@ -208,6 +208,13 @@ class TestExitCodes:
         assert rep["outputs"]["reconstruction_residual"] <= 1e-12
         assert rep["diagnostics"]["residual"] <= 1e-11
 
+    def test_non_convergence_report_carries_the_iteration_count(self, capsys):
+        x = "[[4,1,0.5,0.2],[1,3,0.3,0.1],[0.5,0.3,2,0.4],[0.2,0.1,0.4,1.5]]"
+        code, rep = run_cli(capsys, "project", x, "antiblock:2,2", "--max-iter", "1")
+        assert code == 4
+        assert rep["diagnostics"]["iterations"] == 1
+        assert rep["diagnostics"]["residual"] > 1e-11
+
     def test_domain_error_on_singular_gl(self, capsys):
         code, rep = run_cli(capsys, "gl", "[[1,1],[1,1]]", "diag")
         assert code == 3
@@ -622,6 +629,41 @@ class TestBatch:
         main(["batch", str(path)])
         reports = json.loads(capsys.readouterr().out)
         assert [r["exit_code"] for r in reports] == [0, 3, 3, 3, 3, 0]
+
+
+    def test_options_convert_by_kind(self, capsys, tmp_path):
+        # A flag takes a JSON boolean, a count an integral number or an integer
+        # string, and no other option a boolean; each entry that breaks this
+        # gets its own exit-2 report.  The file subspace is the zero-diagonal
+        # one, which is not closed under nested brackets.
+        sub = tmp_path / "zero_diag.json"
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        gens = [np.eye(3)[[i, j]].T @ np.eye(3)[[j, i]] for i, j in pairs]
+        sub.write_text(json.dumps({"n": 3, "generators": [g.tolist() for g in gens]}))
+        x, spec = json.dumps(X33), f"file:{sub}"
+        manifest = [
+            {"command": "project", "x": x, "subspace": spec, "unchecked": "false"},
+            {"command": "project", "x": x, "subspace": spec, "unchecked": "no"},
+            {"command": "project", "x": x, "subspace": spec, "unchecked": 1},
+            {"command": "project", "x": x, "subspace": "diag", "max_iter": 2.5},
+            {"command": "project", "x": x, "subspace": "diag", "max_iter": True},
+            {"command": "project", "x": x, "subspace": "diag", "tol": True},
+            {"command": "lts", "subspace": "diag", "n": 2.9},
+            {"command": "lts", "subspace": "diag", "n": "2.0"},
+            {"command": "project", "x": x, "subspace": spec, "unchecked": True},
+            {"command": "project", "x": x, "subspace": spec, "unchecked": False},
+            {"command": "project", "x": x, "subspace": "diag", "max_iter": 7.0},
+            {"command": "project", "x": x, "subspace": "diag", "max_iter": "7",
+             "tol": "1e-9"},
+            {"command": "lts", "subspace": "diag", "n": "3"},
+        ]
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(manifest))
+        main(["batch", str(path)])
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["exit_code"] for r in reports] == [2] * 8 + [0, 3, 0, 0, 0]
+        assert "unchecked" in reports[0]["error"]["message"]
+        assert reports[-1]["inputs"]["n"] == 3
 
 
 class TestSolverLookup:

@@ -15,6 +15,7 @@ function cannot skip the contract.
 """
 
 import dataclasses
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -338,3 +339,355 @@ def test_each_operand_is_checked_once(check_count, name):
     ops = _operands(np.random.default_rng(24), op, n)
     checks, _ = check_count(op.call, n, *ops)
     assert checks == COMPOSED_CHECKS.get(name, len(op.roles))
+
+
+# Operands that are no arrays of real numbers: text, numbers as text, a
+# string among numbers, and complex entries with and without an imaginary
+# part.  numpy would read some of them as floats, dropping the imaginary
+# part or parsing the text.
+NON_NUMERIC = {
+    "text": lambda m: "ab",
+    "numeric-text": lambda m: m.astype(str),
+    "mixed": lambda m: [[*row[:-1], "a"] for row in m.tolist()],
+    "complex": lambda m: m + 5j * np.eye(len(m)),
+    "complex-real": lambda m: m.astype(complex),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_non_numeric_operand_is_refused(name):
+    op = CONTRACT[name]
+    n = op.sizes[-1]
+    ops = _operands(np.random.default_rng(26), op, n)
+    for at in range(len(op.roles)):
+        for make in NON_NUMERIC.values():
+            bad = list(ops)
+            bad[at] = make(ops[at])
+            with pytest.raises(s.DomainError):
+                op.call(n, *bad)
+
+
+# ---------------------------------------------------------------------------
+# Arguments that are not matrices
+
+# Valid values for the calls below.
+X2 = np.array([[2.0, 0.5], [0.5, 1.0]])
+Y2 = np.array([[1.0, 0.2], [0.2, 3.0]])
+S2 = np.array([[0.5, 0.1], [0.1, -0.3]])
+D2 = np.diag([0.3, -0.2])  # block-diagonal for (1, 1)
+A2 = np.array([[0.0, 0.4], [0.4, 0.0]])  # block-anti-diagonal for (1, 1)
+G2 = np.array([[1.0, 1.0], [0.0, 1.0]])  # determinant 1
+E2 = s.diag_subspace(2)
+RECORD_VALUES = {
+    "Subspace": E2,
+    "TangentVector": s.riem_log(X2, Y2),
+    "AdFunctionOperator": s.AdFunctionOperator(X2, math.cosh),
+    "BlockPartition": s.BlockPartition((1, 1)),
+    "Sl2Factors": s.sl2_decompose(G2),
+    "GeodesicSegment": s.GeodesicSegment(X2, Y2),
+}
+
+# An operand that CONTRACT covers (a GeodesicSegment or a pair for geodesic).
+MATRIX = "matrix"
+# The keywords of decompose._project, which a **opts leads to.
+PROJECTION = {"tol": "tol", "max_iter": "count", "unchecked": "flag", "initial": MATRIX}
+
+
+@dataclass(frozen=True)
+class Args:
+    """The kind of each parameter of a public callable, and ``call(**values)``,
+    which runs it on valid operands with the given arguments, one keyword per
+    parameter that is not a matrix, valid by default."""
+
+    kinds: dict
+    call: Callable = lambda: None
+
+
+def _projecting(f, *operands, e_sub=False):
+    """Args.call for f(*operands, [e_sub,] **opts)."""
+    if e_sub:
+        return lambda e_sub=E2, **opts: f(*operands, e_sub, **opts)
+    return lambda **opts: f(*operands, **opts)
+
+
+ARGUMENTS = {
+    # matfun
+    "as_sym": Args({"a": MATRIX}),
+    "require_spd": Args({"x": MATRIX}),
+    "is_spd": Args({"x": "answer"}, lambda x: s.is_spd(x)),
+    "sym_eigen": Args({"a": MATRIX}),
+    "sym_apply": Args({"a": MATRIX, "phi": "function"}, lambda phi: s.sym_apply(S2, phi)),
+    "spd_exp": Args({"a": MATRIX}),
+    "spd_log": Args({"x": MATRIX}),
+    "spd_sqrt": Args({"x": MATRIX}),
+    "spd_inv_sqrt": Args({"x": MATRIX}),
+    "spd_sqrt_pair": Args({"x": MATRIX}),
+    "spd_inv": Args({"x": MATRIX}),
+    "spd_pow": Args({"x": MATRIX, "t": "real"}, lambda t: s.spd_pow(X2, t)),
+    "tr_inner": Args({"a": MATRIX, "b": MATRIX}),
+    "frobenius": Args({"a": "array"}, lambda a: s.frobenius(a)),
+    # manifold
+    "TangentVector": Args({"base": MATRIX, "vec": MATRIX}),
+    "GeodesicSegment": Args({"x": MATRIX, "y": MATRIX}),
+    "metric": Args({"x": MATRIX, "u": MATRIX, "v": MATRIX}),
+    "geodesic": Args({"seg": MATRIX, "t": "real"}, lambda t: s.geodesic((X2, Y2), t)),
+    "distance": Args({"x": MATRIX, "y": MATRIX}),
+    "riem_log": Args({"x": MATRIX, "y": MATRIX}),
+    "riem_exp": Args({"x": MATRIX, "v": "TangentVector"}, lambda v: s.riem_exp(X2, v)),
+    "congruence_action": Args({"g": MATRIX, "x": MATRIX}),
+    "geodesic_symmetry": Args({"x": MATRIX, "y": MATRIX}),
+    "riemannian_angle": Args({"vertex": MATRIX, "p": MATRIX, "q": MATRIX}),
+    "al_kashi_slack": Args({"a": MATRIX, "b": MATRIX, "c": MATRIX}),
+    "curvature_tensor_id": Args({"x": MATRIX, "y": MATRIX, "z": MATRIX}),
+    "sectional_curvature_id": Args({"x": MATRIX, "y": MATRIX}),
+    # dexp
+    "ad": Args({"x": MATRIX, "y": MATRIX}),
+    "AdFunctionOperator": Args(
+        {"base": MATRIX, "phi": "function"},
+        lambda phi: s.ad_function_apply(s.AdFunctionOperator(X2, phi), S2),
+    ),
+    "ad_function_apply": Args(
+        {"op": "AdFunctionOperator", "y": MATRIX}, lambda op: s.ad_function_apply(op, S2)
+    ),
+    "tau": Args({"x": MATRIX, "y": MATRIX}),
+    "tau_inv": Args({"x": MATRIX, "y": MATRIX}),
+    "dexp_apply": Args({"x": MATRIX, "y": MATRIX}),
+    "dexp_apply_left": Args({"x": MATRIX, "y": MATRIX}),
+    "dexp_inv_apply": Args({"x": MATRIX, "z": MATRIX}),
+    "conjugation_flow_field": Args({"x": MATRIX, "y": MATRIX}),
+    "integrate_conjugation_flow": Args(
+        {"x0": MATRIX, "y": MATRIX, "t": "real", "steps": "count"},
+        lambda t=0.3, steps=2: s.integrate_conjugation_flow(S2, D2, t, steps=steps),
+    ),
+    # subspace
+    "build_subspace": Args({"generators": MATRIX}),
+    "project_trace": Args({"e": "Subspace", "y": MATRIX}, lambda e: s.project_trace(e, S2)),
+    "orthogonal_complement": Args({"e": "Subspace"}, lambda e: s.orthogonal_complement(e)),
+    "lts_check": Args(
+        {"e": "Subspace", "tol": "tol"}, lambda e=E2, tol=1e-9: s.lts_check(e, tol)
+    ),
+    "multi_block_zero_diag_counterexample": Args(
+        {"num_blocks": "count3", "block_size": "count", "tol": "tol"},
+        lambda num_blocks=3, block_size=1, tol=1e-9: (
+            s.multi_block_zero_diag_counterexample(num_blocks, block_size, tol)
+        ),
+    ),
+    "diag_subspace": Args({"n": "count"}, lambda n: s.diag_subspace(n)),
+    "block_diag_subspace": Args({"sizes": "sizes"}, lambda sizes: s.block_diag_subspace(sizes)),
+    "block_antidiag_subspace": Args(
+        {"p": "count", "q": "count"}, lambda p=1, q=1: s.block_antidiag_subspace(p, q)
+    ),
+    "zero_diag_block_subspace": Args(
+        {"sizes": "sizes"}, lambda sizes: s.zero_diag_block_subspace(sizes)
+    ),
+    "sl2_traceless_diag_subspace": Args({}),
+    "load_subspace": Args({"path": "path"}, lambda path: s.load_subspace(path)),
+    "subspace_from_dict": Args({"obj": "payload"}, lambda obj: s.subspace_from_dict(obj)),
+    # decompose
+    "geodesic_project": Args(
+        {"x": MATRIX, "e_sub": "Subspace", **PROJECTION},
+        _projecting(s.geodesic_project, X2, e_sub=True),
+    ),
+    "mostow_spd": Args(
+        {"x": MATRIX, "e_sub": "Subspace", **PROJECTION},
+        _projecting(s.mostow_spd, X2, e_sub=True),
+    ),
+    "mostow_gl": Args(
+        {"g": MATRIX, "e_sub": "Subspace", **PROJECTION},
+        _projecting(s.mostow_gl, G2, e_sub=True),
+    ),
+    "TranslatedSubmanifold": Args(
+        {"base": MATRIX, "subspace": "Subspace"},
+        lambda subspace: s.TranslatedSubmanifold(X2, subspace),
+    ),
+    "translate_convex_submanifold": Args(
+        {"x": MATRIX, "e_sub": "Subspace"},
+        lambda e_sub: s.translate_convex_submanifold(X2, e_sub),
+    ),
+    # applications
+    "BlockPartition": Args({"sizes": "sizes"}, lambda sizes: s.BlockPartition(sizes)),
+    "block_diag_part": Args(
+        {"m": MATRIX, "partition": "BlockPartition"},
+        lambda partition: s.block_diag_part(X2, partition),
+    ),
+    "off_block_part": Args(
+        {"m": MATRIX, "partition": "BlockPartition"},
+        lambda partition: s.off_block_part(X2, partition),
+    ),
+    "correlation_normalize": Args({"cov": MATRIX}),
+    "diag_projection_compare": Args(
+        {"cov": MATRIX, **PROJECTION}, _projecting(s.diag_projection_compare, X2)
+    ),
+    # The partition of the two-block factorizations: a BlockPartition or its sizes.
+    "dad_decompose": Args(
+        {"sigma": MATRIX, "partition": "sizes", **PROJECTION},
+        lambda partition=(1, 1), **opts: s.dad_decompose(X2, partition, **opts),
+    ),
+    "ada_decompose": Args(
+        {"sigma": MATRIX, "partition": "sizes", **PROJECTION},
+        lambda partition=(1, 1), **opts: s.ada_decompose(X2, partition, **opts),
+    ),
+    "cosh_sinh_split": Args(
+        {"d": MATRIX, "a": MATRIX, "partition": "sizes"},
+        lambda partition: s.cosh_sinh_split(D2, A2, partition),
+    ),
+    "ada_sum_split": Args(
+        {"a_prime": MATRIX, "d_prime": MATRIX, "partition": "sizes"},
+        lambda partition: s.ada_sum_split(A2, D2, partition),
+    ),
+    "sl2_decompose": Args({"g": MATRIX, **PROJECTION}, _projecting(s.sl2_decompose, G2)),
+    "sl2_reconstruct": Args(
+        {"factors": "Sl2Factors"}, lambda factors: s.sl2_reconstruct(factors)
+    ),
+}
+
+EXCEPTIONS = {"SpdGeomError", "DomainError", "ConvergenceError", "ParseError"}
+
+
+def _any_record_but(cls_name):
+    others = [v for k, v in RECORD_VALUES.items() if k != cls_name]
+    return st.one_of(st.sampled_from(others), JUNK_ARGUMENT)
+
+
+JUNK_ARGUMENT = st.one_of(
+    st.none(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.sampled_from([object(), {"n": 2}]),
+)
+
+# Wrong values of each kind: (the values every case tries, a strategy for
+# more).  A bool is no number; nan and +-inf are reals, which the functions
+# that take one answer with a DomainError of their own.
+WRONG = {
+    "real": (
+        ["0.5", None, True, False, 1j, np.array([0.5]), [0.5], object(),
+         math.nan, math.inf, -math.inf],
+        st.one_of(st.text(max_size=3), st.complex_numbers(), st.booleans()),
+    ),
+    "tol": (
+        ["1e-9", None, True, 1j, np.array([1e-9]), [1e-9], object(), math.nan,
+         0, 0.0, -1e-9, -math.inf],
+        st.one_of(
+            st.floats(max_value=0.0), st.integers(max_value=0), st.text(max_size=3)
+        ),
+    ),
+    "count": (
+        ["2", None, True, False, 2.0, 2.5, np.float64(2.0), math.nan, math.inf,
+         1j, object(), [2], 0, -1],
+        st.one_of(st.floats(), st.integers(max_value=0), st.text(max_size=3)),
+    ),
+    "count3": (
+        ["3", None, True, 3.0, 2.5, math.nan, object(), [3], 2, 0, -1],
+        st.one_of(st.floats(), st.integers(max_value=2), st.text(max_size=3)),
+    ),
+    "flag": (
+        ["false", "no", "True", None, 0, 1, 0.0, math.nan, object(), [True]],
+        st.one_of(st.integers(), st.floats(), st.text(max_size=3)),
+    ),
+    "sizes": (
+        ["22", "", None, 5, 2.5, True, object(), [], (), [2.7, 1.2], [1.9, 1.9],
+         [True, True], [0, 2], [-1, 3], [[1, 1]], [np.float64(1.0), 1],
+         [1, None]],
+        st.one_of(
+            st.lists(st.floats(), min_size=1, max_size=3),
+            st.lists(st.integers(max_value=0), min_size=1, max_size=3),
+            st.integers(),
+            st.text(max_size=3),
+        ),
+    ),
+    **{
+        cls_name: ([5, None, "x", object(), [1, 2]], _any_record_but(cls_name))
+        for cls_name in RECORD_VALUES
+    },
+    "function": (
+        [None, 5, "cos", object(), [math.cos]],
+        st.one_of(st.integers(), st.floats(), st.text(max_size=3)),
+    ),
+    "array": (
+        ["ab", [[1, "a"], [0, 1]], X2 + 5j, X2.astype(complex), X2.astype(str),
+         None, object(), [[1.0], [1.0, 2.0]], [[1.0, None]]],
+        st.one_of(st.text(min_size=1, max_size=3), st.complex_numbers()),
+    ),
+    # A non-negative int is refused too, but may name an open descriptor of
+    # the test process: tests/test_subspace.py checks one through a pipe.
+    "path": (
+        [None, 2.5, -1, object(), [1, 2], math.nan],
+        st.one_of(st.floats(), st.lists(st.text(max_size=2), max_size=2)),
+    ),
+    "payload": (
+        [None, 5, "x", [1], {"n": 2}, {"generators": []},
+         {"n": "x", "generators": []}, {"n": 2, "generators": 5},
+         {"n": 1, "generators": [[["1"]]]}, {"n": 1, "generators": [[[1j]]]}],
+        st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2)),
+    ),
+    "answer": (
+        ["ab", None, 5, object(), X2 + 1j, [[1, "a"], [0, 1]], -X2],
+        st.one_of(st.integers(), st.floats(), st.text(max_size=3)),
+    ),
+}
+
+
+def _parameters(name):
+    """The parameters of a public callable, with the keywords of
+    ``decompose._project`` in place of a ``**opts``."""
+    from spdgeom.decompose import _project
+
+    names = []
+    for p in inspect.signature(getattr(s, name)).parameters.values():
+        if p.kind is p.VAR_KEYWORD:
+            project = inspect.signature(_project).parameters.values()
+            names += [q.name for q in project if q.kind is q.KEYWORD_ONLY]
+        else:
+            names.append(p.name)
+    return names
+
+
+def test_every_parameter_has_a_kind():
+    # A parameter of a public callable is a matrix operand that CONTRACT
+    # covers, or has a kind whose wrong values test_argument_contract tries;
+    # the records are made by the library and hold what they are given.
+    assert set(ARGUMENTS) == _public_callables() - RECORDS - EXCEPTIONS
+    for name, args in ARGUMENTS.items():
+        assert sorted(_parameters(name)) == sorted(args.kinds), name
+        assert set(args.kinds.values()) <= set(WRONG) | {MATRIX}, name
+        assert (MATRIX in args.kinds.values()) == (name in CONTRACT), name
+        others = {arg for arg, kind in args.kinds.items() if kind != MATRIX}
+        inspect.signature(args.call).bind(**dict.fromkeys(others))
+
+
+def _argument_cases():
+    for name, args in sorted(ARGUMENTS.items()):
+        for arg, kind in args.kinds.items():
+            if kind != MATRIX:
+                yield pytest.param(name, arg, kind, id=f"{name}-{arg}")
+
+
+def _answers_wrong(args, arg, kind, value):
+    """Whether the call answers a wrong argument as its kind says: a
+    DomainError, a ParseError for a path or payload, False for is_spd."""
+    if kind == "answer":
+        return args.call(**{arg: value}) is False
+    error = s.ParseError if kind in ("path", "payload") else s.DomainError
+    with pytest.raises(error):
+        args.call(**{arg: value})
+    return True
+
+
+@pytest.mark.parametrize("name, arg, kind", _argument_cases())
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_argument_contract(name, arg, kind, data):
+    args, (values, more) = ARGUMENTS[name], WRONG[kind]
+    for value in [*values, data.draw(more, label=arg)]:
+        assert _answers_wrong(args, arg, kind, value), repr(value)
+
+
+def test_contains_checks_its_tolerance():
+    sub = s.translate_convex_submanifold(X2, E2)
+    assert sub.contains(X2) and sub.contains(X2, tol=1)
+    for value in WRONG["tol"][0]:
+        with pytest.raises(s.DomainError):
+            sub.contains(Y2, tol=value)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -544,6 +545,18 @@ class TestFileFormat:
     def test_missing_fields(self):
         with pytest.raises(ParseError):
             subspace_from_dict({"generators": []})
+
+    def test_a_file_descriptor_is_no_path(self):
+        # open() reads from an int as a file descriptor, and closes it.
+        read, write = os.pipe()
+        try:
+            os.write(write, json.dumps({"n": 1, "generators": [[[1.0]]]}).encode())
+            os.close(write)
+            with pytest.raises(ParseError, match="^cannot read subspace file"):
+                load_subspace(read)
+            assert os.read(read, 4) == b'{"n"'
+        finally:
+            os.close(read)
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
